@@ -4,14 +4,13 @@
 //! perfbench --workload NAME --seed N --seconds S --trace 0|1 [--setup-reps N]
 //! ```
 //!
-//! Five workloads, each driving one part of the system through its public
+//! Four workloads, each driving one part of the system through its public
 //! API with inputs generated from `--seed`:
 //!
 //! | workload        | unit of work (`ops_per_s`)              | timed block       |
 //! |-----------------|-----------------------------------------|-------------------|
 //! | `dance_step`    | one search step (evaluator penalty)     | one search epoch  |
 //! | `hw_exact`      | one architecture, exact hardware generation | seven architectures |
-//! | `hw_predict`    | one architecture row through the frozen evaluator plan | one batch of 64 |
 //! | `serve_mixed`   | one request answered by `dance-serve`   | half a second     |
 //! | `campaign_grid` | one campaign cell                       | one 12-cell grid  |
 //!
@@ -46,8 +45,6 @@ pub enum Workload {
     DanceStep,
     /// §4.2, exact side: exhaustive hardware generation with the cost model.
     HwExact,
-    /// §4.2, learned side: evaluator inference through a frozen plan.
-    HwPredict,
     /// Closed-loop mixed traffic against `dance-serve`.
     ServeMixed,
     /// A campaign grid of tiny searches folded into a Pareto frontier.
@@ -55,10 +52,9 @@ pub enum Workload {
 }
 
 impl Workload {
-    const ALL: [Workload; 5] = [
+    const ALL: [Workload; 4] = [
         Workload::DanceStep,
         Workload::HwExact,
-        Workload::HwPredict,
         Workload::ServeMixed,
         Workload::CampaignGrid,
     ];
@@ -67,7 +63,6 @@ impl Workload {
         match self {
             Workload::DanceStep => "dance_step",
             Workload::HwExact => "hw_exact",
-            Workload::HwPredict => "hw_predict",
             Workload::ServeMixed => "serve_mixed",
             Workload::CampaignGrid => "campaign_grid",
         }
@@ -98,8 +93,7 @@ struct Args {
     setup_reps: usize,
 }
 
-const USAGE: &str =
-    "usage: perfbench --workload dance_step|hw_exact|hw_predict|serve_mixed|campaign_grid \
+const USAGE: &str = "usage: perfbench --workload dance_step|hw_exact|serve_mixed|campaign_grid \
                      --seed N --seconds S --trace 0|1 [--setup-reps N]";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -150,7 +144,6 @@ fn run_e2e(w: Workload, seed: u64, seconds: f64, setup_reps: usize) -> E2e {
     match w {
         Workload::DanceStep => step::e2e(seed, seconds, setup_reps),
         Workload::HwExact => hw::exact_e2e(seed, seconds, setup_reps),
-        Workload::HwPredict => hw::predict_e2e(seed, seconds, setup_reps),
         Workload::ServeMixed => serve::e2e(seed, seconds, setup_reps),
         Workload::CampaignGrid => campaign::e2e(seed, seconds, setup_reps),
     }
