@@ -5,7 +5,7 @@ Usage, from the repository root:
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-Workloads: dance_step, hw_exact, hw_predict, serve_mixed, campaign_grid.
+Workloads: dance_step, hw_exact, serve_mixed, campaign_grid.
 
 The benchmark is the Rust package in perfbench/ (a cargo workspace of its
 own that depends on crates/ by path). This script builds it in release mode

@@ -8,8 +8,8 @@
 //!   width 128, the paper's width) through a frozen `dance-plan` at batch
 //!   64, each call staging the rows, executing the plan and decoding the
 //!   metrics and the four hardware heads. (As an end-to-end workload its
-//!   throughput swung by a quarter between runs on a shared 2-vCPU host,
-//!   so it is measured per layer only.)
+//!   set-up, about 12 ms, moved by 30% between two ten-seed series on a
+//!   shared 2-vCPU host, so it is measured per layer only.)
 //!
 //! Architectures come in balanced blocks of seven: within a block every
 //! slot takes each of the seven candidates exactly once, in a seeded order.

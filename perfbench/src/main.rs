@@ -22,8 +22,9 @@
 //! outside — a bench-owned replica of the search step, the per-slot ×
 //! per-candidate supernet table, the cost/hwgen/plan calls, per-op serve
 //! latencies and a campaign — reads the telemetry snapshot the program
-//! emits, and measures the telemetry overhead of the chosen workload by
-//! running it once with `DANCE_TELEMETRY=off` and once without.
+//! emits, and measures the telemetry overhead of the chosen workload from
+//! three alternating pairs of child runs, with and without
+//! `DANCE_TELEMETRY=off`.
 //!
 //! The last line of standard output is one JSON object:
 //! `{"correct": …, "attempted": …, "failed": …, "metrics": {…}}`.
@@ -101,7 +102,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut seed = None;
     let mut seconds = None;
     let mut trace = None;
-    let mut setup_reps = 3usize;
+    let mut setup_reps = 5usize;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let value = it
@@ -208,24 +209,41 @@ fn traced(args: &Args) -> (Metrics, Checks) {
     (m, checks)
 }
 
-/// Runs the workload's end-to-end section twice in child processes — with
-/// telemetry on (the shipped default) and with `DANCE_TELEMETRY=off` — and
-/// returns how much faster the second ran, in percent of the first.
+/// Child runs per telemetry setting in [`telemetry_overhead`].
+const OVERHEAD_PAIRS: usize = 3;
+
+/// Runs the workload's end-to-end section in child processes, alternately
+/// with telemetry on (the shipped default) and with `DANCE_TELEMETRY=off`
+/// in the order on, off, off, on, on, off, so a host that drifts over the
+/// run slows both settings alike. Each pair gives how much faster the off
+/// run was, in percent of the on run; the result is the median pair.
 fn telemetry_overhead(args: &Args) -> (f64, Checks) {
-    let seconds = (args.seconds / 2.0).max(2.0);
+    let seconds = (args.seconds / 4.0).max(2.0);
     let mut checks = Checks::default();
     let mut rate = |telemetry_off: bool| -> f64 {
         let out = child_ops_per_s(args, seconds, telemetry_off);
         checks.record(out.as_ref().map(|_| ()).map_err(Clone::clone));
         out.unwrap_or(f64::NAN)
     };
-    let on = rate(false);
-    let off = rate(true);
-    println!(
-        "telemetry overhead ({}): {on:.4} ops/s with telemetry, {off:.4} without",
-        args.workload.name()
-    );
-    ((off / on - 1.0) * 100.0, checks)
+    let mut pct = Vec::with_capacity(OVERHEAD_PAIRS);
+    for pair in 0..OVERHEAD_PAIRS {
+        let (on, off) = if pair % 2 == 0 {
+            let on = rate(false);
+            (on, rate(true))
+        } else {
+            let off = rate(true);
+            (rate(false), off)
+        };
+        println!(
+            "telemetry overhead ({}), pair {pair}: {on:.4} ops/s with telemetry, {off:.4} without",
+            args.workload.name()
+        );
+        pct.push((off / on - 1.0) * 100.0);
+    }
+    if pct.iter().any(|p| !p.is_finite()) {
+        return (f64::NAN, checks);
+    }
+    (median(&pct), checks)
 }
 
 fn child_ops_per_s(args: &Args, seconds: f64, telemetry_off: bool) -> Result<f64, String> {
