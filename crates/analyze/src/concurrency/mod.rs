@@ -10,7 +10,7 @@
 //!   (or a lock is re-acquired while already held); the report carries both
 //!   acquisition chains as `file:line -> file:line` hops.
 //! * `lock-across-dispatch` — a guard is live across a blocking boundary:
-//!   pool dispatch (`dance_backend::run`/`run_concat`/`spawn_service`),
+//!   pool dispatch (`dance_backend::run`/`spawn_service`),
 //!   `Condvar::wait` (other guards than the waited-on one), channel
 //!   `recv`, thread `join`, or file/socket I/O.
 //! * `determinism` — result-affecting iteration over `HashMap`/`HashSet`,

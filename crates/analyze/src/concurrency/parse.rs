@@ -174,8 +174,6 @@ pub const BLOCKING_PATTERNS: &[&str] = &[
     ".join()",
     "spawn_service(",
     "dance_backend::run(",
-    "dance_backend::run_concat(",
-    "run_concat(",
     "thread::sleep(",
     "fs::write(",
     "fs::read_to_string(",

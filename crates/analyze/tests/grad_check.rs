@@ -123,16 +123,6 @@ fn probe(op: &str) -> Option<Probe> {
                 Box::new(move || Var::weighted_sum(&[&ac, &bc], &wc).sum()),
             )
         }
-        "pw_conv1d" => {
-            let x = p(mixed.clone(), &[1, 2, 3]);
-            let w = p(vec![0.8, -0.5, 1.2, 0.4], &[2, 2]);
-            let b = p(vec![0.1, -0.2], &[2]);
-            let (xc, wc, bc) = (x.clone(), w.clone(), b.clone());
-            (
-                vec![x, w, b],
-                Box::new(move || xc.pw_conv1d(&wc, &bc).sum()),
-            )
-        }
         "dw_conv1d" => {
             let x = p(vec![0.4, -0.7, 1.1, 0.2, -0.3, 0.9, 1.4, -1.2], &[1, 2, 4]);
             let w = p(mixed.clone(), &[2, 3]);

@@ -265,7 +265,7 @@ pub fn mul_row_broadcast(x: &Var, row: &Var) -> Var {
         n
     );
     let out = Tensor::from_storage(
-        dance_backend::kernels().mul_row_broadcast(x_val.storage(), r_val.storage(), m, n),
+        dance_backend::kernels::mul_row_broadcast(x_val.storage(), r_val.storage(), m, n),
         &[m, n],
     );
     Var::from_op(
@@ -273,9 +273,8 @@ pub fn mul_row_broadcast(x: &Var, row: &Var) -> Var {
         out,
         vec![x.clone(), row.clone()],
         Box::new(move |g, parents| {
-            let ks = dance_backend::kernels();
             let dx = Tensor::from_storage(
-                ks.mul_row_broadcast(g.storage(), r_val.storage(), m, n),
+                dance_backend::kernels::mul_row_broadcast(g.storage(), r_val.storage(), m, n),
                 &[m, n],
             );
             // dr[j] = Σᵢ g[i,j]·x[i,j]: element-wise product then column sum,

@@ -149,7 +149,7 @@ impl Var {
                 );
                 let (m, n) = (x.shape()[0], x.shape()[1]);
                 Tensor::from_storage(
-                    kernels().add_row_broadcast(x.storage(), b.storage(), m, n),
+                    kernels::add_row_broadcast(x.storage(), b.storage(), m, n),
                     &[m, n],
                 )
             })
@@ -457,63 +457,6 @@ impl Var {
         )
     }
 
-    /// Pointwise (1×1) 1-D convolution: `[B, C, L] × [K, C] (+[K]) → [B, K, L]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or channel mismatches.
-    #[must_use]
-    pub fn pw_conv1d(&self, weight: &Var, bias: &Var) -> Var {
-        let x_val = self.value();
-        let w_val = weight.value();
-        let b_val = bias.value();
-        assert_eq!(x_val.ndim(), 3, "pw_conv1d input shape {:?}", x_val.shape());
-        let (bsz, c, l) = (x_val.shape()[0], x_val.shape()[1], x_val.shape()[2]);
-        assert_eq!(
-            w_val.ndim(),
-            2,
-            "pw_conv1d weight shape {:?}",
-            w_val.shape()
-        );
-        let (k, c2) = (w_val.shape()[0], w_val.shape()[1]);
-        assert_eq!(c, c2, "pw_conv1d channels {c} vs weight {c2}");
-        assert_eq!(b_val.numel(), k, "pw_conv1d bias length");
-
-        let out = dance_telemetry::time("autograd.fwd.pw_conv1d", || {
-            Tensor::from_storage(
-                kernels().pw_conv1d_fwd(
-                    x_val.storage(),
-                    w_val.storage(),
-                    b_val.storage(),
-                    bsz,
-                    c,
-                    l,
-                    k,
-                ),
-                &[bsz, k, l],
-            )
-        });
-        Var::from_op(
-            "pw_conv1d",
-            out,
-            vec![self.clone(), weight.clone(), bias.clone()],
-            Box::new(move |g, parents| {
-                let (dx, dw, db) = kernels().pw_conv1d_bwd(
-                    x_val.storage(),
-                    w_val.storage(),
-                    g.storage(),
-                    bsz,
-                    c,
-                    l,
-                    k,
-                );
-                parents[0].accumulate_grad(&Tensor::from_storage(dx, &[bsz, c, l]));
-                parents[1].accumulate_grad(&Tensor::from_storage(dw, &[k, c]));
-                parents[2].accumulate_grad(&Tensor::from_storage(db, &[k]));
-            }),
-        )
-    }
-
     /// Depthwise 1-D convolution with "same" zero padding:
     /// `[B, C, L] × [C, Kw] → [B, C, L]`.
     ///
@@ -538,7 +481,7 @@ impl Var {
 
         let out = dance_telemetry::time("autograd.fwd.dw_conv1d", || {
             Tensor::from_storage(
-                kernels().dw_conv1d_fwd(x_val.storage(), w_val.storage(), bsz, c, l, kw),
+                kernels::dw_conv1d_fwd(x_val.storage(), w_val.storage(), bsz, c, l, kw, false),
                 &[bsz, c, l],
             )
         });
@@ -547,7 +490,7 @@ impl Var {
             out,
             vec![self.clone(), weight.clone()],
             Box::new(move |g, parents| {
-                let (dx, dw) = kernels().dw_conv1d_bwd(
+                let (dx, dw) = kernels::dw_conv1d_bwd(
                     x_val.storage(),
                     w_val.storage(),
                     g.storage(),
@@ -595,7 +538,7 @@ impl Var {
 
         let out = dance_telemetry::time("autograd.fwd.dw_conv1d_relu", || {
             Tensor::from_storage(
-                kernels().dw_conv1d_relu_fwd(x_val.storage(), w_val.storage(), bsz, c, l, kw),
+                kernels::dw_conv1d_fwd(x_val.storage(), w_val.storage(), bsz, c, l, kw, true),
                 &[bsz, c, l],
             )
         });
@@ -606,7 +549,7 @@ impl Var {
             vec![self.clone(), weight.clone()],
             Box::new(move |g, parents| {
                 let gm = g.binary_op(&y_val, BinaryOp::MaskMul);
-                let (dx, dw) = kernels().dw_conv1d_bwd(
+                let (dx, dw) = kernels::dw_conv1d_bwd(
                     x_val.storage(),
                     w_val.storage(),
                     gm.storage(),
@@ -710,7 +653,7 @@ impl Var {
         let (bsz, c, l) = (shape[0], shape[1], shape[2]);
         let value = self.with_value(|x| {
             Tensor::from_storage(
-                kernels().to_channels_last(x.storage(), bsz, c, l),
+                kernels::to_channels_last(x.storage(), bsz, c, l),
                 &[bsz * l, c],
             )
         });
@@ -720,7 +663,7 @@ impl Var {
             vec![self.clone()],
             Box::new(move |g, parents| {
                 // The inverse permutation is exactly `from_channels_last`.
-                let dx = kernels().from_channels_last(g.storage(), bsz, c, l);
+                let dx = kernels::from_channels_last(g.storage(), bsz, c, l);
                 parents[0].accumulate_grad(&Tensor::from_storage(dx, &[bsz, c, l]));
             }),
         )
@@ -744,7 +687,7 @@ impl Var {
         let c = shape[1];
         let value = self.with_value(|x| {
             Tensor::from_storage(
-                kernels().from_channels_last(x.storage(), batch, c, length),
+                kernels::from_channels_last(x.storage(), batch, c, length),
                 &[batch, c, length],
             )
         });
@@ -755,7 +698,7 @@ impl Var {
             OpAttrs::BatchLength { batch, length },
             Box::new(move |g, parents| {
                 // The inverse permutation is exactly `to_channels_last`.
-                let dx = kernels().to_channels_last(g.storage(), batch, c, length);
+                let dx = kernels::to_channels_last(g.storage(), batch, c, length);
                 parents[0].accumulate_grad(&Tensor::from_storage(dx, &[batch * length, c]));
             }),
         )
@@ -968,19 +911,6 @@ mod tests {
     }
 
     #[test]
-    fn pw_conv1d_grad_check() {
-        let x = Var::parameter(randn(&[2, 3, 4], 17));
-        let w = Var::parameter(randn(&[5, 3], 18).scale(0.5));
-        let b = Var::parameter(randn(&[5], 19).scale(0.1));
-        numeric_grad(
-            &[&x, &w, &b],
-            || x.pw_conv1d(&w, &b).sqr().sum(),
-            1e-2,
-            8e-2,
-        );
-    }
-
-    #[test]
     fn dw_conv1d_grad_check() {
         let x = Var::parameter(randn(&[2, 3, 6], 20));
         let w = Var::parameter(randn(&[3, 3], 21).scale(0.5));
@@ -1006,16 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn pw_conv1d_matches_manual() {
-        let x = Var::constant(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]));
-        let w = Var::constant(Tensor::from_vec(vec![1.0, 1.0], &[1, 2]));
-        let b = Var::constant(Tensor::from_vec(vec![0.5], &[1]));
-        // out[l] = x[0,l] + x[1,l] + 0.5
-        let y = x.pw_conv1d(&w, &b);
-        assert_eq!(y.value().data(), &[4.5, 6.5]);
-    }
-
-    #[test]
     fn reshape_grad_passthrough() {
         let x = Var::parameter(randn(&[2, 6], 24));
         numeric_grad(&[&x], || x.reshape(&[3, 4]).sqr().sum(), 1e-2, 3e-2);
@@ -1031,15 +951,25 @@ mod tests {
 
     #[test]
     fn channels_last_matmul_matches_pw_conv() {
-        let x = Var::constant(randn(&[2, 3, 5], 26));
-        let w = Var::constant(randn(&[4, 3], 27));
-        let b = Var::constant(Tensor::zeros(&[4]));
-        let direct = x.pw_conv1d(&w, &b);
-        let via_matmul = x
+        // The supernet's pointwise conv: out[b, k, l] = Σ_c w[k, c]·x[b, c, l].
+        let (x, w) = (randn(&[2, 3, 5], 26), randn(&[4, 3], 27));
+        let via_matmul = Var::constant(x.clone())
             .to_channels_last()
-            .matmul(&Var::constant(w.value().transpose()))
+            .matmul(&Var::constant(w.transpose()))
             .from_channels_last(2, 5);
-        assert!(via_matmul.value().approx_eq(&direct.value(), 1e-4));
+        let mut direct = vec![0.0; 2 * 4 * 5];
+        for b in 0..2 {
+            for k in 0..4 {
+                for l in 0..5 {
+                    for c in 0..3 {
+                        direct[(b * 4 + k) * 5 + l] +=
+                            w.data()[k * 3 + c] * x.data()[(b * 3 + c) * 5 + l];
+                    }
+                }
+            }
+        }
+        let direct = Tensor::from_vec(direct, &[2, 4, 5]);
+        assert!(via_matmul.value().approx_eq(&direct, 1e-4));
     }
 
     #[test]

@@ -186,33 +186,6 @@ fn weighted_sum_rule(parents: &[Vec<usize>], out: &[usize]) -> ShapeCheck {
     same_as_first(parents, out)
 }
 
-fn pw_conv1d_rule(parents: &[Vec<usize>], out: &[usize]) -> ShapeCheck {
-    let (x, w, b) = (&parents[0], &parents[1], &parents[2]);
-    if x.len() != 3 || w.len() != 2 {
-        return Err(format!(
-            "pw_conv1d needs [B,C,L] input and [K,C] weight, got {}",
-            fmt_shapes(parents)
-        ));
-    }
-    if w[1] != x[1] {
-        return Err(format!(
-            "weight channels {} vs input channels {}",
-            w[1], x[1]
-        ));
-    }
-    if b.iter().product::<usize>() != w[0] {
-        return Err(format!("bias {b:?} must have {} elements", w[0]));
-    }
-    if out == [x[0], w[0], x[2]] {
-        Ok(())
-    } else {
-        Err(format!(
-            "output {out:?} must be [{}, {}, {}]",
-            x[0], w[0], x[2]
-        ))
-    }
-}
-
 fn dw_conv1d_rule(parents: &[Vec<usize>], out: &[usize]) -> ShapeCheck {
     let (x, w) = (&parents[0], &parents[1]);
     if x.len() != 3 || w.len() != 2 {
@@ -455,12 +428,6 @@ pub const REGISTRY: &[OpSpec] = &[
         shape_rule: weighted_sum_rule,
     },
     OpSpec {
-        name: "pw_conv1d",
-        arity: Arity::Exact(3),
-        differentiable: true,
-        shape_rule: pw_conv1d_rule,
-    },
-    OpSpec {
         name: "dw_conv1d",
         arity: Arity::Exact(2),
         differentiable: true,
@@ -575,8 +542,8 @@ mod tests {
         assert!(concat_cols_rule(&[vec![1, 7], vec![2, 7]], &[3, 7]).is_err());
         assert!(weighted_sum_rule(&[vec![2, 3], vec![2, 3], vec![2]], &[2, 3]).is_ok());
         assert!(weighted_sum_rule(&[vec![2, 3], vec![2, 3], vec![3]], &[2, 3]).is_err());
-        assert!(pw_conv1d_rule(&[vec![2, 3, 4], vec![5, 3], vec![5]], &[2, 5, 4]).is_ok());
-        assert!(pw_conv1d_rule(&[vec![2, 3, 4], vec![5, 4], vec![5]], &[2, 5, 4]).is_err());
+        assert!(dw_conv1d_rule(&[vec![2, 3, 4], vec![3, 5]], &[2, 3, 4]).is_ok());
+        assert!(dw_conv1d_rule(&[vec![2, 3, 4], vec![4, 5]], &[2, 3, 4]).is_err());
         assert!(reshape_rule(&[vec![2, 6]], &[3, 4]).is_ok());
         assert!(reshape_rule(&[vec![2, 6]], &[3, 5]).is_err());
         assert!(from_channels_last_rule(&[vec![8, 3]], &[2, 3, 4]).is_ok());

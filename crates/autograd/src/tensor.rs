@@ -7,12 +7,11 @@
 //! the compute kernels can share it with pool workers without copying;
 //! mutation goes through copy-on-write ([`Tensor::data_mut`]). The hot
 //! operations (matmul, transpose, element-wise maps, reductions, softmax)
-//! dispatch through [`dance_backend::kernels`], whose parallel
-//! implementation is bit-identical to the original scalar loops at any
-//! `DANCE_THREADS` setting. All operations are implemented for the ranks the
-//! DANCE stack actually needs (scalars, vectors, matrices and
-//! `[batch, channel, length]` activations), with shape checks that panic
-//! loudly on misuse.
+//! dispatch through [`dance_backend::kernels`], whose results are
+//! bit-identical at any `DANCE_THREADS` setting. All operations are
+//! implemented for the ranks the DANCE stack actually needs (scalars,
+//! vectors, matrices and `[batch, channel, length]` activations), with
+//! shape checks that panic loudly on misuse.
 //!
 //! ```
 //! use dance_autograd::tensor::Tensor;
@@ -255,12 +254,6 @@ impl Tensor {
         self.data.as_slice().to_vec()
     }
 
-    /// Consumes the tensor, returning the underlying data as a `Vec`.
-    #[deprecated(note = "use `storage()` for sharing or `to_vec()` for a copy")]
-    pub fn into_data(self) -> Vec<f32> {
-        self.data.as_slice().to_vec()
-    }
-
     /// The single value of a one-element tensor.
     ///
     /// # Panics
@@ -351,7 +344,7 @@ impl Tensor {
     /// Applies a backend element-wise unary kernel.
     pub fn unary_op(&self, op: UnaryOp) -> Self {
         Self {
-            data: Arc::new(kernels().unary(&self.data, op)),
+            data: Arc::new(kernels::unary(&self.data, op)),
             shape: self.shape.clone(),
         }
     }
@@ -368,7 +361,7 @@ impl Tensor {
             self.shape, other.shape
         );
         Self {
-            data: Arc::new(kernels().binary(&self.data, &other.data, op)),
+            data: Arc::new(kernels::binary(&self.data, &other.data, op)),
             shape: self.shape.clone(),
         }
     }
@@ -421,7 +414,7 @@ impl Tensor {
 
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
-        kernels().sum(&self.data)
+        kernels::sum(&self.data)
     }
 
     /// Inner product with `other` (same fixed-block association as
@@ -436,7 +429,7 @@ impl Tensor {
             "dot shape mismatch: {:?} vs {:?}",
             self.shape, other.shape
         );
-        kernels().dot(&self.data, &other.data)
+        kernels::dot(&self.data, &other.data)
     }
 
     /// Mean of all elements.
@@ -484,7 +477,7 @@ impl Tensor {
             self.shape, other.shape
         );
         Self {
-            data: Arc::new(kernels().matmul(&self.data, &other.data, m, k, n)),
+            data: Arc::new(kernels::matmul(&self.data, &other.data, m, k, n)),
             shape: vec![m, n],
         }
     }
@@ -507,7 +500,7 @@ impl Tensor {
             self.shape, other.shape
         );
         Self {
-            data: Arc::new(kernels().matmul_bt(&self.data, &other.data, m, n, kdim)),
+            data: Arc::new(kernels::matmul_bt(&self.data, &other.data, m, n, kdim)),
             shape: vec![m, kdim],
         }
     }
@@ -530,7 +523,7 @@ impl Tensor {
             self.shape, other.shape
         );
         Self {
-            data: Arc::new(kernels().matmul_at(&self.data, &other.data, m, kdim, n)),
+            data: Arc::new(kernels::matmul_at(&self.data, &other.data, m, kdim, n)),
             shape: vec![kdim, n],
         }
     }
@@ -554,7 +547,9 @@ impl Tensor {
             bias.numel()
         );
         Self {
-            data: Arc::new(kernels().linear(&self.data, &w.data, &bias.data, m, k, n, relu)),
+            data: Arc::new(kernels::linear(
+                &self.data, &w.data, &bias.data, m, k, n, relu,
+            )),
             shape: vec![m, n],
         }
     }
@@ -573,7 +568,7 @@ impl Tensor {
         );
         let (m, n) = (self.shape[0], self.shape[1]);
         Self {
-            data: Arc::new(kernels().transpose(&self.data, m, n)),
+            data: Arc::new(kernels::transpose(&self.data, m, n)),
             shape: vec![n, m],
         }
     }
@@ -592,7 +587,7 @@ impl Tensor {
         );
         let (m, n) = (self.shape[0], self.shape[1]);
         Self {
-            data: Arc::new(kernels().sum_rows(&self.data, m, n)),
+            data: Arc::new(kernels::sum_rows(&self.data, m, n)),
             shape: vec![n],
         }
     }
@@ -710,7 +705,7 @@ impl Tensor {
         );
         let (m, n) = (self.shape[0], self.shape[1]);
         Self {
-            data: Arc::new(kernels().softmax_rows(&self.data, m, n)),
+            data: Arc::new(kernels::softmax_rows(&self.data, m, n)),
             shape: vec![m, n],
         }
     }
@@ -802,7 +797,7 @@ mod tests {
         let b = Tensor::rand_uniform(&[3], -1.0, 1.0, &mut rng);
         let composed = x.matmul(&w);
         let composed = Tensor::from_storage(
-            dance_backend::kernels().add_row_broadcast(composed.storage(), b.storage(), 5, 3),
+            dance_backend::kernels::add_row_broadcast(composed.storage(), b.storage(), 5, 3),
             &[5, 3],
         );
         assert_eq!(x.linear(&w, &b, false), composed);

@@ -2,14 +2,15 @@
 //!
 //! The parallel compute backend for the DANCE search hot path.
 //!
-//! Two pieces:
+//! Three pieces:
 //!
 //! * [`pool`] — a persistent, work-stealing-free chunked worker pool sized by
 //!   the `DANCE_THREADS` environment variable (default: all available cores;
 //!   `1` reproduces the original single-thread behaviour exactly).
-//! * [`kernels`] — the [`Kernels`] trait the autograd `Tensor` ops dispatch
-//!   through, with a scalar reference implementation and a chunked-parallel
-//!   one that is **bit-identical** to it at any thread count.
+//! * [`kernels`] — the compute kernels the autograd `Tensor` ops dispatch
+//!   through: one loop nest per op, run inline for small problems and
+//!   chunked on the pool for large ones, **bit-identical** at any thread
+//!   count.
 //! * [`storage`] — the aligned, arena-recycled [`Storage`] buffer every
 //!   kernel output lives in (32-byte alignment, recycle-on-drop arena,
 //!   `DANCE_ARENA=off` escape hatch).
@@ -27,8 +28,8 @@ pub mod kernels;
 pub mod pool;
 pub mod storage;
 
-pub use kernels::{kernels, BinaryOp, Data, Kernels, ParallelKernels, ScalarKernels, UnaryOp};
-pub use pool::{run, run_concat, set_threads, threads};
+pub use kernels::{BinaryOp, Data, UnaryOp};
+pub use pool::{run, set_threads, threads};
 pub use storage::{arena_enabled, set_arena_enabled, Storage};
 
 /// Spawns a named long-lived service thread.

@@ -230,24 +230,6 @@ where
         .collect()
 }
 
-/// Runs `n_chunks` chunk closures each producing a contiguous span of the
-/// output, and concatenates the spans in chunk order.
-///
-/// This is the shape almost every kernel wants: partition the output into
-/// disjoint contiguous regions, compute each independently, splice.
-pub fn run_concat<F>(n_chunks: usize, total_len: usize, work: F) -> Vec<f32>
-where
-    F: Fn(usize) -> Vec<f32> + Send + Sync + 'static,
-{
-    let parts = run(n_chunks, work);
-    let mut out = Vec::with_capacity(total_len);
-    for p in parts {
-        out.extend_from_slice(&p);
-    }
-    debug_assert_eq!(out.len(), total_len, "kernel chunks must cover the output");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,14 +246,6 @@ mod tests {
         set_threads(1);
         let out = run(17, |i| i * 3);
         assert_eq!(out, (0..17).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_concat_splices_contiguous_spans() {
-        let _guard = lock(&TEST_LOCK);
-        set_threads(3);
-        let out = run_concat(5, 10, |i| vec![i as f32; 2]);
-        assert_eq!(out, vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]);
     }
 
     #[test]

@@ -1,21 +1,49 @@
-//! Property tests pinning the backend determinism contract: the parallel
-//! kernel implementation is **exactly** (bit-for-bit) equal to the scalar
-//! reference for every kernel, at a thread count high enough to force real
-//! chunked dispatch whenever the problem crosses the parallel threshold.
+//! Property tests pinning the backend determinism contract: every kernel
+//! gives **exactly** (bit-for-bit) the same result with the pool one
+//! thread wide — the op's body run inline over the full range, the
+//! reference — and eight threads wide, where any problem past the
+//! parallel threshold splits into chunks on the pool.
 //!
-//! Sizes are drawn to straddle the dispatch thresholds so both the inline
-//! and the pooled paths are exercised; values include exact zeros to cover
-//! the sparsity fast paths.
+//! Sizes are drawn to straddle the dispatch threshold so both the inline
+//! and the pooled paths are exercised; values include exact zeros, and
+//! results are compared as bit patterns so NaN, infinities and signed
+//! zeros count too.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use dance_backend::{BinaryOp, Data, Kernels, ParallelKernels, ScalarKernels, Storage, UnaryOp};
+use dance_backend::kernels::{self, BinaryOp, Data, UnaryOp};
+use dance_backend::Storage;
 use proptest::prelude::*;
 
-const SCALAR: ScalarKernels = ScalarKernels;
-const PARALLEL: ParallelKernels = ParallelKernels;
+/// Serializes every pool-width flip in this file (the width is
+/// process-global and the proptests run on parallel test threads).
+static WIDTH: Mutex<()> = Mutex::new(());
 
-/// Values in ±2 with a fat spike of exact zeros (sparsity fast paths).
+/// Runs `f` with the pool `n` threads wide, holding [`WIDTH`] from the
+/// flip through the run so no other test can change the width in between.
+fn with_width<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    let _guard = WIDTH.lock().unwrap_or_else(PoisonError::into_inner);
+    dance_backend::set_threads(n);
+    f()
+}
+
+/// `f` at width 1 (the inline reference) and at width 8 (pooled chunks).
+fn at_widths<T>(f: impl Fn() -> T) -> (T, T) {
+    (with_width(1, &f), with_width(8, &f))
+}
+
+/// Bit patterns of a result, so the comparison is exact *and* total.
+fn bits(s: &[f32]) -> Vec<u32> {
+    s.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Bit patterns of a kernel result at width 1 and at width 8.
+fn bits_at_widths(f: impl Fn() -> Storage) -> (Vec<u32>, Vec<u32>) {
+    let (reference, pooled) = at_widths(f);
+    (bits(&reference), bits(&pooled))
+}
+
+/// Values in ±2 with a fat spike of exact zeros.
 fn values(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-2.0f32..2.0, len).prop_map(|v| {
         v.into_iter()
@@ -35,12 +63,6 @@ fn aligned(v: &[f32]) -> Data {
     Arc::new(Storage::from_slice(v))
 }
 
-/// All proptests force a multi-worker pool; every test writes the same
-/// value, so concurrent test threads cannot disturb each other.
-fn force_parallel_pool() {
-    dance_backend::set_threads(8);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -51,10 +73,10 @@ proptest! {
         n in 8usize..40,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let a = data(values(m * k).sample_value(&mut proptest::test_rng(&format!("mm-a-{seed}"))));
         let b = data(values(k * n).sample_value(&mut proptest::test_rng(&format!("mm-b-{seed}"))));
-        prop_assert_eq!(SCALAR.matmul(&a, &b, m, k, n), PARALLEL.matmul(&a, &b, m, k, n));
+        let (s, p) = bits_at_widths(|| kernels::matmul(&a, &b, m, k, n));
+        prop_assert_eq!(s, p);
     }
 
     #[test]
@@ -63,9 +85,9 @@ proptest! {
         n in 1usize..300,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let a = data(values(m * n).sample_value(&mut proptest::test_rng(&format!("tr-{seed}"))));
-        prop_assert_eq!(SCALAR.transpose(&a, m, n), PARALLEL.transpose(&a, m, n));
+        let (s, p) = bits_at_widths(|| kernels::transpose(&a, m, n));
+        prop_assert_eq!(s, p);
     }
 
     #[test]
@@ -74,7 +96,6 @@ proptest! {
         which in 0usize..16,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let ops = [
             UnaryOp::Relu,
             UnaryOp::ReluMask,
@@ -94,15 +115,14 @@ proptest! {
             UnaryOp::NegRecipSq,
         ];
         let op = ops[which];
+        // Recip of exact zeros produces inf/NaN bits.
         let a = data(values(len).sample_value(&mut proptest::test_rng(&format!("un-{seed}"))));
-        // Recip of exact zeros produces inf/NaN — compare bit patterns so
-        // the equality stays exact *and* total.
-        let bits = |s: Storage| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(SCALAR.unary(&a, op)), bits(PARALLEL.unary(&a, op)));
+        let (s, p) = bits_at_widths(|| kernels::unary(&a, op));
+        prop_assert_eq!(&s, &p);
         // Aligned, arena-backed inputs produce the same bits as the
         // adopted-Vec legacy layout.
         let al = aligned(&a);
-        prop_assert_eq!(bits(SCALAR.unary(&a, op)), bits(SCALAR.unary(&al, op)));
+        prop_assert_eq!(s, bits(&with_width(1, || kernels::unary(&al, op))));
     }
 
     #[test]
@@ -111,7 +131,6 @@ proptest! {
         which in 0usize..6,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let ops = [
             BinaryOp::Add,
             BinaryOp::Sub,
@@ -121,20 +140,13 @@ proptest! {
             BinaryOp::MaskMul,
         ];
         let op = ops[which];
+        // Div of exact zeros produces NaN bits.
         let a = data(values(len).sample_value(&mut proptest::test_rng(&format!("bi-a-{seed}"))));
         let b = data(values(len).sample_value(&mut proptest::test_rng(&format!("bi-b-{seed}"))));
-        // Div of exact zeros produces NaN, for which `==` is always false —
-        // compare bit patterns so the equality stays exact *and* total.
-        let bits = |s: Storage| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(
-            bits(SCALAR.binary(&a, &b, op)),
-            bits(PARALLEL.binary(&a, &b, op))
-        );
+        let (s, p) = bits_at_widths(|| kernels::binary(&a, &b, op));
+        prop_assert_eq!(&s, &p);
         let (al, bl) = (aligned(&a), aligned(&b));
-        prop_assert_eq!(
-            bits(SCALAR.binary(&a, &b, op)),
-            bits(SCALAR.binary(&al, &bl, op))
-        );
+        prop_assert_eq!(s, bits(&with_width(1, || kernels::binary(&al, &bl, op))));
     }
 
     #[test]
@@ -142,10 +154,8 @@ proptest! {
         len in 1usize..200_000,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let a = data(values(len).sample_value(&mut proptest::test_rng(&format!("sum-{seed}"))));
-        let s = SCALAR.sum(&a);
-        let p = PARALLEL.sum(&a);
+        let (s, p) = at_widths(|| kernels::sum(&a));
         prop_assert_eq!(s.to_bits(), p.to_bits());
     }
 
@@ -155,9 +165,9 @@ proptest! {
         n in 1usize..400,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let a = data(values(m * n).sample_value(&mut proptest::test_rng(&format!("sr-{seed}"))));
-        prop_assert_eq!(SCALAR.sum_rows(&a, m, n), PARALLEL.sum_rows(&a, m, n));
+        let (s, p) = bits_at_widths(|| kernels::sum_rows(&a, m, n));
+        prop_assert_eq!(s, p);
     }
 
     #[test]
@@ -166,9 +176,9 @@ proptest! {
         n in 1usize..80,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let a = data(values(m * n).sample_value(&mut proptest::test_rng(&format!("sm-{seed}"))));
-        prop_assert_eq!(SCALAR.softmax_rows(&a, m, n), PARALLEL.softmax_rows(&a, m, n));
+        let (s, p) = bits_at_widths(|| kernels::softmax_rows(&a, m, n));
+        prop_assert_eq!(s, p);
     }
 
     #[test]
@@ -177,41 +187,12 @@ proptest! {
         n in 1usize..120,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let x = data(values(m * n).sample_value(&mut proptest::test_rng(&format!("rb-x-{seed}"))));
         let r = data(values(n).sample_value(&mut proptest::test_rng(&format!("rb-r-{seed}"))));
-        prop_assert_eq!(
-            SCALAR.add_row_broadcast(&x, &r, m, n),
-            PARALLEL.add_row_broadcast(&x, &r, m, n)
-        );
-        prop_assert_eq!(
-            SCALAR.mul_row_broadcast(&x, &r, m, n),
-            PARALLEL.mul_row_broadcast(&x, &r, m, n)
-        );
-    }
-
-    #[test]
-    fn prop_pw_conv1d_parallel_equals_scalar(
-        bsz in 1usize..6,
-        c in 4usize..24,
-        l in 16usize..96,
-        k in 4usize..24,
-        seed in 0u64..1000,
-    ) {
-        force_parallel_pool();
-        let x = data(values(bsz * c * l).sample_value(&mut proptest::test_rng(&format!("pw-x-{seed}"))));
-        let w = data(values(k * c).sample_value(&mut proptest::test_rng(&format!("pw-w-{seed}"))));
-        let bias = data(values(k).sample_value(&mut proptest::test_rng(&format!("pw-b-{seed}"))));
-        let g = data(values(bsz * k * l).sample_value(&mut proptest::test_rng(&format!("pw-g-{seed}"))));
-        prop_assert_eq!(
-            SCALAR.pw_conv1d_fwd(&x, &w, &bias, bsz, c, l, k),
-            PARALLEL.pw_conv1d_fwd(&x, &w, &bias, bsz, c, l, k)
-        );
-        let (sdx, sdw, sdb) = SCALAR.pw_conv1d_bwd(&x, &w, &g, bsz, c, l, k);
-        let (pdx, pdw, pdb) = PARALLEL.pw_conv1d_bwd(&x, &w, &g, bsz, c, l, k);
-        prop_assert_eq!(sdx, pdx);
-        prop_assert_eq!(sdw, pdw);
-        prop_assert_eq!(sdb, pdb);
+        let (s, p) = bits_at_widths(|| kernels::add_row_broadcast(&x, &r, m, n));
+        prop_assert_eq!(s, p);
+        let (s, p) = bits_at_widths(|| kernels::mul_row_broadcast(&x, &r, m, n));
+        prop_assert_eq!(s, p);
     }
 
     #[test]
@@ -222,19 +203,15 @@ proptest! {
         kw_idx in 0usize..3,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let kw = [3, 5, 7][kw_idx];
         let x = data(values(bsz * c * l).sample_value(&mut proptest::test_rng(&format!("dw-x-{seed}"))));
         let w = data(values(c * kw).sample_value(&mut proptest::test_rng(&format!("dw-w-{seed}"))));
         let g = data(values(bsz * c * l).sample_value(&mut proptest::test_rng(&format!("dw-g-{seed}"))));
-        prop_assert_eq!(
-            SCALAR.dw_conv1d_fwd(&x, &w, bsz, c, l, kw),
-            PARALLEL.dw_conv1d_fwd(&x, &w, bsz, c, l, kw)
-        );
-        let (sdx, sdw) = SCALAR.dw_conv1d_bwd(&x, &w, &g, bsz, c, l, kw);
-        let (pdx, pdw) = PARALLEL.dw_conv1d_bwd(&x, &w, &g, bsz, c, l, kw);
-        prop_assert_eq!(sdx, pdx);
-        prop_assert_eq!(sdw, pdw);
+        let (s, p) = bits_at_widths(|| kernels::dw_conv1d_fwd(&x, &w, bsz, c, l, kw, false));
+        prop_assert_eq!(s, p);
+        let ((sdx, sdw), (pdx, pdw)) = at_widths(|| kernels::dw_conv1d_bwd(&x, &w, &g, bsz, c, l, kw));
+        prop_assert_eq!(bits(&sdx), bits(&pdx));
+        prop_assert_eq!(bits(&sdw), bits(&pdw));
     }
 
     #[test]
@@ -244,17 +221,14 @@ proptest! {
         l in 1usize..256,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let x = data(values(bsz * c * l).sample_value(&mut proptest::test_rng(&format!("cl-{seed}"))));
-        let s_cl = SCALAR.to_channels_last(&x, bsz, c, l);
-        let p_cl = PARALLEL.to_channels_last(&x, bsz, c, l);
-        prop_assert_eq!(&s_cl, &p_cl);
-        let back = PARALLEL.from_channels_last(&Arc::new(p_cl), bsz, c, l);
-        prop_assert_eq!(&back, &*x);
-        prop_assert_eq!(
-            SCALAR.from_channels_last(&x, bsz, l, c),
-            PARALLEL.from_channels_last(&x, bsz, l, c)
-        );
+        let (s_cl, p_cl) = at_widths(|| kernels::to_channels_last(&x, bsz, c, l));
+        prop_assert_eq!(bits(&s_cl), bits(&p_cl));
+        let p_cl = Arc::new(p_cl);
+        let back = with_width(8, || kernels::from_channels_last(&p_cl, bsz, c, l));
+        prop_assert_eq!(bits(&back), bits(&x));
+        let (s, p) = bits_at_widths(|| kernels::from_channels_last(&x, bsz, l, c));
+        prop_assert_eq!(s, p);
     }
 
     /// `matmul_bt`/`matmul_at` are bit-identical to materializing the
@@ -267,16 +241,23 @@ proptest! {
         n in 4usize..40,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let g = data(values(m * n).sample_value(&mut proptest::test_rng(&format!("tf-g-{seed}"))));
         let w = data(values(k * n).sample_value(&mut proptest::test_rng(&format!("tf-w-{seed}"))));
         let x = data(values(m * k).sample_value(&mut proptest::test_rng(&format!("tf-x-{seed}"))));
-        let wt = Arc::new(SCALAR.transpose(&w, k, n));
-        let xt = Arc::new(SCALAR.transpose(&x, m, k));
-        prop_assert_eq!(SCALAR.matmul_bt(&g, &w, m, n, k), SCALAR.matmul(&g, &wt, m, n, k));
-        prop_assert_eq!(PARALLEL.matmul_bt(&g, &w, m, n, k), SCALAR.matmul(&g, &wt, m, n, k));
-        prop_assert_eq!(SCALAR.matmul_at(&x, &g, m, k, n), SCALAR.matmul(&xt, &g, k, m, n));
-        prop_assert_eq!(PARALLEL.matmul_at(&x, &g, m, k, n), SCALAR.matmul(&xt, &g, k, m, n));
+        let (bt, at) = with_width(1, || {
+            let wt = Arc::new(kernels::transpose(&w, k, n));
+            let xt = Arc::new(kernels::transpose(&x, m, k));
+            (
+                bits(&kernels::matmul(&g, &wt, m, n, k)),
+                bits(&kernels::matmul(&xt, &g, k, m, n)),
+            )
+        });
+        let (s, p) = bits_at_widths(|| kernels::matmul_bt(&g, &w, m, n, k));
+        prop_assert_eq!(&s, &bt);
+        prop_assert_eq!(&p, &bt);
+        let (s, p) = bits_at_widths(|| kernels::matmul_at(&x, &g, m, k, n));
+        prop_assert_eq!(&s, &at);
+        prop_assert_eq!(&p, &at);
     }
 
     /// Fused `linear` is bit-identical to matmul → add_row_broadcast → relu.
@@ -288,25 +269,26 @@ proptest! {
         relu_sel in 0usize..2,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let relu = relu_sel == 1;
         let x = data(values(m * k).sample_value(&mut proptest::test_rng(&format!("ln-x-{seed}"))));
         let w = data(values(k * n).sample_value(&mut proptest::test_rng(&format!("ln-w-{seed}"))));
         let bias = data(values(n).sample_value(&mut proptest::test_rng(&format!("ln-b-{seed}"))));
-        let mm = Arc::new(SCALAR.matmul(&x, &w, m, k, n));
-        let biased = Arc::new(SCALAR.add_row_broadcast(&mm, &bias, m, n));
-        let expect = if relu {
-            SCALAR.unary(&biased, UnaryOp::Relu)
-        } else {
-            biased.as_slice().to_vec().into()
-        };
-        prop_assert_eq!(SCALAR.linear(&x, &w, &bias, m, k, n, relu), expect.clone());
-        prop_assert_eq!(PARALLEL.linear(&x, &w, &bias, m, k, n, relu), expect);
+        let expect = with_width(1, || {
+            let mm = Arc::new(kernels::matmul(&x, &w, m, k, n));
+            let biased = Arc::new(kernels::add_row_broadcast(&mm, &bias, m, n));
+            if relu {
+                bits(&kernels::unary(&biased, UnaryOp::Relu))
+            } else {
+                bits(&biased)
+            }
+        });
+        let (s, p) = bits_at_widths(|| kernels::linear(&x, &w, &bias, m, k, n, relu));
+        prop_assert_eq!(&s, &expect);
+        prop_assert_eq!(&p, &expect);
     }
 
     /// Fused depthwise-conv + ReLU is bit-identical to conv → relu, and
-    /// `dot` matches sum-of-products at every length (both sides of the
-    /// SUM_CHUNK blocking boundary).
+    /// `dot` is bit-identical to summing the element-wise products.
     #[test]
     fn prop_dw_relu_and_dot_fusions_equal_composed(
         bsz in 1usize..5,
@@ -315,39 +297,24 @@ proptest! {
         kw_idx in 0usize..3,
         seed in 0u64..1000,
     ) {
-        force_parallel_pool();
         let kw = [3, 5, 7][kw_idx];
         let x = data(values(bsz * c * l).sample_value(&mut proptest::test_rng(&format!("dr-x-{seed}"))));
         let w = data(values(c * kw).sample_value(&mut proptest::test_rng(&format!("dr-w-{seed}"))));
-        let conv = Arc::new(SCALAR.dw_conv1d_fwd(&x, &w, bsz, c, l, kw));
-        let expect = SCALAR.unary(&conv, UnaryOp::Relu);
-        prop_assert_eq!(SCALAR.dw_conv1d_relu_fwd(&x, &w, bsz, c, l, kw), expect.clone());
-        prop_assert_eq!(PARALLEL.dw_conv1d_relu_fwd(&x, &w, bsz, c, l, kw), expect);
+        let expect = with_width(1, || {
+            let conv = Arc::new(kernels::dw_conv1d_fwd(&x, &w, bsz, c, l, kw, false));
+            bits(&kernels::unary(&conv, UnaryOp::Relu))
+        });
+        let (s, p) = bits_at_widths(|| kernels::dw_conv1d_fwd(&x, &w, bsz, c, l, kw, true));
+        prop_assert_eq!(&s, &expect);
+        prop_assert_eq!(&p, &expect);
 
         let a = data(values(bsz * c * l).sample_value(&mut proptest::test_rng(&format!("dot-a-{seed}"))));
         let b = data(values(bsz * c * l).sample_value(&mut proptest::test_rng(&format!("dot-b-{seed}"))));
-        let prod = Arc::new(SCALAR.binary(&a, &b, BinaryOp::Mul));
-        prop_assert_eq!(SCALAR.dot(&a, &b).to_bits(), SCALAR.sum(&prod).to_bits());
-        prop_assert_eq!(PARALLEL.dot(&a, &b).to_bits(), SCALAR.sum(&prod).to_bits());
+        let expect = with_width(1, || {
+            kernels::sum(&Arc::new(kernels::binary(&a, &b, BinaryOp::Mul))).to_bits()
+        });
+        let (s, p) = at_widths(|| kernels::dot(&a, &b).to_bits());
+        prop_assert_eq!(s, expect);
+        prop_assert_eq!(p, expect);
     }
-}
-
-/// The `kernels()` accessor must hand out the parallel implementation, and
-/// the whole suite must behave identically when the pool is pinned to one
-/// thread (the inline path).
-#[test]
-fn kernels_accessor_single_thread_matches_scalar() {
-    dance_backend::set_threads(1);
-    let ks = dance_backend::kernels();
-    let a = data((0..64 * 48).map(|i| (i as f32 * 0.37).sin()).collect());
-    let b = data((0..48 * 32).map(|i| (i as f32 * 0.11).cos()).collect());
-    assert_eq!(
-        ks.matmul(&a, &b, 64, 48, 32),
-        SCALAR.matmul(&a, &b, 64, 48, 32)
-    );
-    dance_backend::set_threads(8);
-    assert_eq!(
-        ks.matmul(&a, &b, 64, 48, 32),
-        SCALAR.matmul(&a, &b, 64, 48, 32)
-    );
 }

@@ -106,7 +106,6 @@ fn op_token(op: &PlanOp) -> String {
                 .collect();
             format!("weighted_sum:{}", hex.join(","))
         }
-        PlanOp::PwConv1d => "pw_conv1d".to_string(),
         PlanOp::DwConv1d => "dw_conv1d".to_string(),
         PlanOp::DwConv1dRelu => "dw_conv1d_relu".to_string(),
         PlanOp::GlobalAvgPool1d => "global_avg_pool1d".to_string(),
@@ -228,7 +227,6 @@ fn parse_op(tok: &str) -> Result<PlanOp, PlanError> {
                 .collect::<Result<Vec<_>, _>>()?;
             PlanOp::WeightedSum { weights }
         }
-        "pw_conv1d" => PlanOp::PwConv1d,
         "dw_conv1d" => PlanOp::DwConv1d,
         "dw_conv1d_relu" => PlanOp::DwConv1dRelu,
         "global_avg_pool1d" => PlanOp::GlobalAvgPool1d,

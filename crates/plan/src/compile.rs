@@ -196,7 +196,6 @@ fn translate(
                     weights: weights_var.value().data().to_vec(),
                 }
             }
-            "pw_conv1d" => PlanOp::PwConv1d,
             "dw_conv1d" => PlanOp::DwConv1d,
             "dw_conv1d_relu" => PlanOp::DwConv1dRelu,
             "global_avg_pool1d" => PlanOp::GlobalAvgPool1d,
@@ -251,13 +250,6 @@ fn translate(
             vec![
                 dynamic_parent(v, &parents[0], dynamic)?,
                 folded_parent(v, &parents[1], "broadcast row", dynamic, folder)?,
-            ]
-        }
-        PlanOp::PwConv1d => {
-            vec![
-                dynamic_parent(v, &parents[0], dynamic)?,
-                folded_parent(v, &parents[1], "conv weight", dynamic, folder)?,
-                folded_parent(v, &parents[2], "conv bias", dynamic, folder)?,
             ]
         }
         PlanOp::DwConv1d | PlanOp::DwConv1dRelu => {
@@ -364,8 +356,7 @@ fn check_step(
                 return Err(FreezeError::new("row-wise op on a non-2-D activation"));
             }
         }
-        PlanOp::PwConv1d
-        | PlanOp::DwConv1d
+        PlanOp::DwConv1d
         | PlanOp::DwConv1dRelu
         | PlanOp::GlobalAvgPool1d
         | PlanOp::ToChannelsLast

@@ -2,7 +2,7 @@
 //!
 //! An [`Executor`] owns one preallocated arena: one `Vec<f32>` per plan
 //! buffer, each sized for [`Plan::max_batch`]. `run` replays the plan's
-//! steps through the [`dance_backend::Kernels`] `*_into` entry points plus
+//! steps through the [`dance_backend::kernels`] `*_into` bodies plus
 //! a handful of pure-copy loops, writing every activation into its assigned
 //! buffer — no tape, no per-call allocation, no `Arc` traffic.
 //!
@@ -11,7 +11,7 @@
 //! value computation, so outputs are bit-identical to the tape at any
 //! `DANCE_THREADS` setting.
 
-use dance_backend::{kernels, Kernels};
+use dance_backend::kernels;
 
 use crate::ir::{Plan, PlanOp, Ref, Step};
 
@@ -75,10 +75,9 @@ impl Executor {
             self.plan.max_batch
         );
         dance_telemetry::time("plan.exec.run", || {
-            let k = kernels();
             // analyze:hot
             for step in &self.plan.steps {
-                run_step(k, &self.plan, &mut self.bufs, step, batch);
+                run_step(&self.plan, &mut self.bufs, step, batch);
             }
             // analyze:hot-end
         });
@@ -117,29 +116,31 @@ fn dims<'a>(plan: &'a Plan, r: Ref, batch: usize) -> (usize, &'a [usize]) {
 
 // analyze:hot
 #[allow(clippy::too_many_lines)]
-fn run_step(k: &dyn Kernels, plan: &Plan, bufs: &mut [Vec<f32>], step: &Step, batch: usize) {
+fn run_step(plan: &Plan, bufs: &mut [Vec<f32>], step: &Step, batch: usize) {
     let mut out_buf = std::mem::take(&mut bufs[step.out]);
     let out_n = plan.buffers[step.out].numel(batch);
     {
         let bufs_r: &[Vec<f32>] = bufs;
         let out = &mut out_buf[..out_n];
         match &step.op {
-            PlanOp::Unary(u) => k.unary_into(view(plan, bufs_r, step.ins[0], batch), *u, out),
-            PlanOp::Binary(b) => k.binary_into(
-                view(plan, bufs_r, step.ins[0], batch),
-                view(plan, bufs_r, step.ins[1], batch),
-                *b,
-                out,
-            ),
+            PlanOp::Unary(u) => {
+                let x = view(plan, bufs_r, step.ins[0], batch);
+                kernels::unary_into(x, *u, 0..x.len(), out);
+            }
+            PlanOp::Binary(b) => {
+                let x = view(plan, bufs_r, step.ins[0], batch);
+                let y = view(plan, bufs_r, step.ins[1], batch);
+                kernels::binary_into(x, y, *b, 0..x.len(), out);
+            }
             PlanOp::Matmul => {
                 let (m, a_rest) = dims(plan, step.ins[0], batch);
                 let (kk, w_rest) = dims(plan, step.ins[1], batch);
-                k.matmul_into(
+                kernels::matmul_into(
                     view(plan, bufs_r, step.ins[0], batch),
                     view(plan, bufs_r, step.ins[1], batch),
-                    m,
                     kk,
                     w_rest[0],
+                    0..m,
                     out,
                 );
                 debug_assert_eq!(a_rest[0], kk);
@@ -147,24 +148,34 @@ fn run_step(k: &dyn Kernels, plan: &Plan, bufs: &mut [Vec<f32>], step: &Step, ba
             PlanOp::Linear | PlanOp::LinearRelu => {
                 let (m, _) = dims(plan, step.ins[0], batch);
                 let (kk, w_rest) = dims(plan, step.ins[1], batch);
-                k.linear_into(
+                kernels::linear_into(
                     view(plan, bufs_r, step.ins[0], batch),
                     view(plan, bufs_r, step.ins[1], batch),
                     view(plan, bufs_r, step.ins[2], batch),
-                    m,
                     kk,
                     w_rest[0],
                     matches!(step.op, PlanOp::LinearRelu),
+                    0..m,
                     out,
                 );
             }
             PlanOp::Softmax => {
                 let (m, rest) = dims(plan, step.ins[0], batch);
-                k.softmax_rows_into(view(plan, bufs_r, step.ins[0], batch), m, rest[0], out);
+                kernels::softmax_rows_into(
+                    view(plan, bufs_r, step.ins[0], batch),
+                    rest[0],
+                    0..m,
+                    out,
+                );
             }
             PlanOp::LogSoftmax => {
                 let (m, rest) = dims(plan, step.ins[0], batch);
-                k.softmax_rows_into(view(plan, bufs_r, step.ins[0], batch), m, rest[0], out);
+                kernels::softmax_rows_into(
+                    view(plan, bufs_r, step.ins[0], batch),
+                    rest[0],
+                    0..m,
+                    out,
+                );
                 // Same element-wise pass the tape applies to the softmax.
                 for v in out.iter_mut() {
                     *v = v.max(1e-20).ln();
@@ -172,21 +183,21 @@ fn run_step(k: &dyn Kernels, plan: &Plan, bufs: &mut [Vec<f32>], step: &Step, ba
             }
             PlanOp::AddRowBroadcast => {
                 let (m, rest) = dims(plan, step.ins[0], batch);
-                k.add_row_broadcast_into(
+                kernels::add_row_broadcast_into(
                     view(plan, bufs_r, step.ins[0], batch),
                     view(plan, bufs_r, step.ins[1], batch),
-                    m,
                     rest[0],
+                    0..m,
                     out,
                 );
             }
             PlanOp::MulRowBroadcast => {
                 let (m, rest) = dims(plan, step.ins[0], batch);
-                k.mul_row_broadcast_into(
+                kernels::mul_row_broadcast_into(
                     view(plan, bufs_r, step.ins[0], batch),
                     view(plan, bufs_r, step.ins[1], batch),
-                    m,
                     rest[0],
+                    0..m,
                     out,
                 );
             }
@@ -225,43 +236,17 @@ fn run_step(k: &dyn Kernels, plan: &Plan, bufs: &mut [Vec<f32>], step: &Step, ba
                     }
                 }
             }
-            PlanOp::PwConv1d => {
-                let (bsz, rest) = dims(plan, step.ins[0], batch);
-                let (kk, _) = dims(plan, step.ins[1], batch);
-                k.pw_conv1d_fwd_into(
-                    view(plan, bufs_r, step.ins[0], batch),
-                    view(plan, bufs_r, step.ins[1], batch),
-                    view(plan, bufs_r, step.ins[2], batch),
-                    bsz,
-                    rest[0],
-                    rest[1],
-                    kk,
-                    out,
-                );
-            }
-            PlanOp::DwConv1d => {
+            PlanOp::DwConv1d | PlanOp::DwConv1dRelu => {
                 let (bsz, rest) = dims(plan, step.ins[0], batch);
                 let (_, w_rest) = dims(plan, step.ins[1], batch);
-                k.dw_conv1d_fwd_into(
+                kernels::dw_conv1d_fwd_into(
                     view(plan, bufs_r, step.ins[0], batch),
                     view(plan, bufs_r, step.ins[1], batch),
-                    bsz,
                     rest[0],
                     rest[1],
                     w_rest[0],
-                    out,
-                );
-            }
-            PlanOp::DwConv1dRelu => {
-                let (bsz, rest) = dims(plan, step.ins[0], batch);
-                let (_, w_rest) = dims(plan, step.ins[1], batch);
-                k.dw_conv1d_relu_fwd_into(
-                    view(plan, bufs_r, step.ins[0], batch),
-                    view(plan, bufs_r, step.ins[1], batch),
-                    bsz,
-                    rest[0],
-                    rest[1],
-                    w_rest[0],
+                    matches!(step.op, PlanOp::DwConv1dRelu),
+                    0..bsz * rest[0],
                     out,
                 );
             }
@@ -283,21 +268,21 @@ fn run_step(k: &dyn Kernels, plan: &Plan, bufs: &mut [Vec<f32>], step: &Step, ba
             }
             PlanOp::ToChannelsLast => {
                 let (bsz, rest) = dims(plan, step.ins[0], batch);
-                k.to_channels_last_into(
+                kernels::to_channels_last_into(
                     view(plan, bufs_r, step.ins[0], batch),
-                    bsz,
                     rest[0],
                     rest[1],
+                    0..bsz,
                     out,
                 );
             }
             PlanOp::FromChannelsLast => {
                 let spec = &plan.buffers[step.out];
-                k.from_channels_last_into(
+                kernels::from_channels_last_into(
                     view(plan, bufs_r, step.ins[0], batch),
-                    spec.dim0(batch),
                     spec.rest[0],
                     spec.rest[1],
+                    0..spec.dim0(batch),
                     out,
                 );
             }

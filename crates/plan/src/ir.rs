@@ -51,9 +51,6 @@ pub enum PlanOp {
         /// One folded weight per operand, in operand order.
         weights: Vec<f32>,
     },
-    /// Pointwise 1-D convolution `[B,C,L]×[K,C](+[K]) → [B,K,L]` with
-    /// folded weight and bias.
-    PwConv1d,
     /// Depthwise 1-D convolution `[B,C,L]×[C,kw] → [B,C,L]` with a folded
     /// kernel.
     DwConv1d,
@@ -200,7 +197,6 @@ impl Plan {
                 PlanOp::Matmul => Some(2),
                 PlanOp::Linear | PlanOp::LinearRelu => Some(3),
                 PlanOp::AddRowBroadcast | PlanOp::MulRowBroadcast => Some(2),
-                PlanOp::PwConv1d => Some(3),
                 PlanOp::DwConv1d | PlanOp::DwConv1dRelu => Some(2),
                 PlanOp::WeightedSum { weights } => Some(weights.len()),
                 PlanOp::ConcatCols => None, // ≥ 1, checked below

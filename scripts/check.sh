@@ -100,23 +100,41 @@ if ! diff -u "${drill_dir}/straight.txt" "${drill_dir}/drill.txt"; then
   exit 1
 fi
 
-# Performance gate: a fresh single-thread smoke run must not regress
-# `total_wall_s` by more than 15% against the committed BENCH_smoke.json.
-# The bench rewrites BENCH_smoke.json in place, so the committed baseline
-# is read first and the working-tree copy restored afterwards.
-echo "== BENCH_smoke wall-time gate (<=15% over committed baseline) =="
-baseline="$(python3 -c "import json; print(json.load(open('BENCH_smoke.json'))['total_wall_s'])")"
-cp BENCH_smoke.json "${drill_dir}/BENCH_smoke.committed.json"
-DANCE_THREADS=1 cargo run --release -q -p dance-bench --bin smoke > /dev/null
-fresh="$(python3 -c "import json; print(json.load(open('BENCH_smoke.json'))['total_wall_s'])")"
-mv "${drill_dir}/BENCH_smoke.committed.json" BENCH_smoke.json
-python3 - "$baseline" "$fresh" <<'PY'
-import sys
-baseline, fresh = float(sys.argv[1]), float(sys.argv[2])
-limit = baseline * 1.15
-print(f"smoke total_wall_s: baseline={baseline:.3f}s fresh={fresh:.3f}s limit={limit:.3f}s")
-if fresh > limit:
-    sys.exit(f"smoke wall time regressed >15% ({fresh:.3f}s > {limit:.3f}s)")
+# Work gate: five single-thread smoke runs, each into a temp
+# DANCE_BENCH_DIR so the committed BENCH_smoke.json is never rewritten.
+# The machine-independent counters (tape nodes, arena fresh/reuse, the
+# chosen ops) must equal the committed file exactly in every run. Wall
+# time is only reported, median and min-max beside the committed
+# baseline: it depends on the host, and the noise-aware wall-time check
+# is the benchmark's parent-vs-change comparison (BENCHMARK.json).
+echo "== BENCH_smoke work-counter gate (5 runs, counters must equal the committed file) =="
+cargo build --release -q -p dance-bench --bin smoke
+for i in 1 2 3 4 5; do
+  mkdir -p "${drill_dir}/smoke${i}"
+  DANCE_THREADS=1 DANCE_BENCH_DIR="${drill_dir}/smoke${i}" DANCE_RUN_DIR="${drill_dir}/smoke${i}" \
+    ./target/release/smoke > "${drill_dir}/smoke${i}/log" 2>&1 \
+    || { cat "${drill_dir}/smoke${i}/log" >&2; exit 1; }
+done
+python3 - BENCH_smoke.json "${drill_dir}"/smoke*/BENCH_smoke.json <<'PY'
+import json, statistics, sys
+committed = json.load(open(sys.argv[1]))
+runs = [json.load(open(p)) for p in sys.argv[2:]]
+exact = ("tape.nodes", "arena.fresh", "arena.reuse")
+def gated(doc):
+    return {k: v for k, v in doc["counters"].items() if k in exact or k.startswith("search.chosen.")}
+want = gated(committed)
+missing = [k for k in exact if k not in want]
+if missing or not any(k.startswith("search.chosen.") for k in want):
+    sys.exit(f"BENCH_smoke.json lacks gated counters: {missing or 'search.chosen.*'}")
+for i, run in enumerate(runs, 1):
+    got = gated(run)
+    if got != want:
+        diff = {k: (want.get(k), got.get(k)) for k in sorted(set(want) | set(got)) if want.get(k) != got.get(k)}
+        sys.exit(f"smoke run {i}: counters differ from BENCH_smoke.json (committed, fresh): {diff}")
+walls = sorted(r["total_wall_s"] for r in runs)
+print(f"smoke counters equal BENCH_smoke.json in all {len(runs)} runs")
+print(f"smoke total_wall_s: median={statistics.median(walls):.3f}s "
+      f"min-max={walls[0]:.3f}-{walls[-1]:.3f}s committed={committed['total_wall_s']:.3f}s (not gated)")
 PY
 
 # Optional Miri pass over the storage/arena unit tests: the arena hands out
