@@ -47,8 +47,9 @@ const PAD: usize = ALIGN_BYTES / std::mem::size_of::<f32>();
 const ARENA_MAX_BYTES: usize = 256 * 1024 * 1024;
 
 /// How many allocation events accumulate locally before the arena flushes
-/// its `arena.reuse` / `arena.fresh` counters to `dance-telemetry` (the
-/// global counter registry takes a mutex, far too expensive per alloc).
+/// its `arena.reuse` / `arena.fresh` counters to `dance-telemetry`: a
+/// counter record locks the thread's shard and looks its name up in a
+/// string-keyed map, many times the cost of the `Cell` add it batches.
 const FLUSH_EVERY: usize = 4096;
 
 /// Element offset of the first 32-byte-aligned `f32` at or after `addr`.

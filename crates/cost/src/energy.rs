@@ -32,7 +32,6 @@ pub fn rf_access_pj(rf_words: usize) -> f64 {
 
 /// Total energy of one mapped layer, in picojoules.
 pub fn layer_energy_pj(macs: u64, mapping: &Mapping, config: &AcceleratorConfig) -> f64 {
-    let _span = dance_telemetry::hot_span!("cost.energy.layer");
     let rf_pj = rf_access_pj(config.rf_size());
     let dynamic = macs as f64 * MAC_PJ
         + macs as f64 * RF_ACCESSES_PER_MAC * rf_pj

@@ -64,30 +64,7 @@ fn rf_partition(rf: usize) -> (u64, u64, u64) {
 }
 
 /// Maps `layer` onto `config`, returning latency and traffic counts.
-///
-/// Timed per dataflow (`cost.map.ws` / `cost.map.os` / `cost.map.rs`) so run
-/// logs show which mapper dominates a sweep.
 pub fn map_layer(layer: &ConvLayer, config: &AcceleratorConfig) -> Mapping {
-    if !dance_telemetry::enabled() {
-        return map_layer_inner(layer, config);
-    }
-    let key = match config.dataflow() {
-        Dataflow::WeightStationary => "ws",
-        Dataflow::OutputStationary => "os",
-        Dataflow::RowStationary => "rs",
-    };
-    // analyze:allow(determinism) span timing only; never feeds values
-    let start = std::time::Instant::now();
-    let mapping = map_layer_inner(layer, config);
-    dance_telemetry::span::record_duration_prefixed(
-        "cost.map.",
-        key,
-        start.elapsed().as_nanos() as u64,
-    );
-    mapping
-}
-
-fn map_layer_inner(layer: &ConvLayer, config: &AcceleratorConfig) -> Mapping {
     let px = config.pe_x() as u64;
     let py = config.pe_y() as u64;
     let (rf_st, rf_in, rf_out) = rf_partition(config.rf_size());

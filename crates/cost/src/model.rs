@@ -3,9 +3,10 @@
 //! This is the "(non-differentiable) cost estimation tool" of paper §3.3 —
 //! the ground-truth oracle the evaluator network is trained to imitate.
 
-use dance_accel::config::AcceleratorConfig;
+use dance_accel::config::{AcceleratorConfig, Dataflow};
 use dance_accel::layer::ConvLayer;
 use dance_accel::workload::Network;
+use dance_telemetry::span;
 
 use crate::area::area_mm2;
 use crate::energy::layer_energy_pj;
@@ -89,13 +90,37 @@ impl CostModel {
     }
 
     /// Prices a single layer on a configuration.
+    ///
+    /// Timed as `cost.map.{ws,os,rs}` (per dataflow, so run logs show which
+    /// mapper dominates a sweep), `cost.energy.layer` and
+    /// `cost_model.evaluate_layer`, from one clock read per boundary.
     pub fn evaluate_layer(&self, layer: &ConvLayer, config: &AcceleratorConfig) -> LayerCost {
-        let _span = dance_telemetry::hot_span!("cost_model.evaluate_layer");
+        if !dance_telemetry::enabled() {
+            let mapping = map_layer(layer, config);
+            return LayerCost {
+                mapping,
+                cycles: mapping.total_cycles,
+                energy_pj: layer_energy_pj(layer.macs(), &mapping, config),
+            };
+        }
+        let dataflow = match config.dataflow() {
+            Dataflow::WeightStationary => "ws",
+            Dataflow::OutputStationary => "os",
+            Dataflow::RowStationary => "rs",
+        };
+        // analyze:allow(determinism) span timing only; never feeds values
+        let start = std::time::Instant::now();
         let mapping = map_layer(layer, config);
+        let map_ns = start.elapsed().as_nanos() as u64;
+        let energy_pj = layer_energy_pj(layer.macs(), &mapping, config);
+        let total_ns = start.elapsed().as_nanos() as u64;
+        span::record_duration_prefixed("cost.map.", dataflow, map_ns);
+        span::record_duration("cost.energy.layer", total_ns.saturating_sub(map_ns));
+        span::record_duration("cost_model.evaluate_layer", total_ns);
         LayerCost {
             mapping,
             cycles: mapping.total_cycles,
-            energy_pj: layer_energy_pj(layer.macs(), &mapping, config),
+            energy_pj,
         }
     }
 

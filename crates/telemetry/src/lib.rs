@@ -15,9 +15,13 @@
 //!    total/mean/p50/p95 wall time). `span!` additionally streams one JSONL
 //!    event per close when a run log is active; `hot_span!` only aggregates,
 //!    so per-step and per-op instrumentation stays cheap.
-//! 2. **Metrics** ([`counter!`], [`gauge!`], [`histogram!`]): a global
-//!    registry of monotonic counters, last-value gauges, and fixed-bucket
-//!    histograms (log-spaced 1–2–5 buckets by default).
+//! 2. **Metrics** ([`counter!`], [`gauge!`], [`histogram!`]): monotonic
+//!    counters, last-value gauges, and fixed-bucket histograms (log-spaced
+//!    1–2–5 buckets by default).
+//!
+//! Span, counter and histogram records land in the recording thread's own
+//! [`shard`], so threads never contend while recording; reports and resets
+//! walk every shard.
 //! 3. **Run logs** ([`runlog::RunGuard`]): one JSONL file per run under
 //!    `results/runs/<run-id>.jsonl` streaming span/gauge events while the
 //!    run is active, then dumping every aggregate (span stats, counters,
@@ -38,6 +42,7 @@
 pub mod json;
 pub mod metrics;
 pub mod runlog;
+pub mod shard;
 pub mod span;
 pub mod summarize;
 
@@ -99,8 +104,8 @@ macro_rules! span {
 
 /// Opens an aggregation-only RAII span for hot paths (per step, per op, per
 /// cost-model call): never streamed, so the only cost per close is one
-/// clock read and one map update. Aggregates still land in the run file as
-/// `span_agg` events when the run ends.
+/// clock read and one update of the thread's own shard. Aggregates still
+/// land in the run file as `span_agg` events when the run ends.
 #[macro_export]
 macro_rules! hot_span {
     ($name:expr) => {

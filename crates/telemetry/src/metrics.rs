@@ -1,16 +1,17 @@
 //! The metrics registry: counters, gauges and fixed-bucket histograms.
 //!
-//! All three families live in one global registry behind a mutex; update
-//! volume is epoch- or node-scale (not per-element), so an uncontended lock
-//! is far below the noise floor of the numeric work being measured. Names
-//! are free-form dotted strings (`"tape.nodes"`, `"epoch.loss"`); the
-//! registry is keyed by owned strings so dynamically composed names (e.g.
-//! per-chosen-op counters) work too.
+//! Counters and histograms are aggregated in the recording thread's own
+//! shard, keyed by name, so hot counters (`tape.nodes`, one per tape node)
+//! never wait on another thread; [`snapshot`] merges the shards. Gauges
+//! hold a last value and stream every update to the run log, so they stay
+//! in one global map. Names are free-form dotted strings (`"tape.nodes"`,
+//! `"epoch.loss"`) stored as owned strings, so dynamically composed names
+//! (e.g. per-chosen-op counters) work too.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::runlog;
+use crate::{runlog, shard};
 
 /// A fixed-bucket histogram over `f64` observations.
 ///
@@ -99,6 +100,18 @@ impl Histogram {
         self.counts[idx] += 1;
     }
 
+    /// Folds another histogram with the same boundaries into this one.
+    pub(crate) fn merge(&mut self, other: &Histogram) {
+        debug_assert_eq!(self.bounds, other.bounds, "merged histograms share bounds");
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
     /// The boundary list.
     pub fn bounds(&self) -> &[f64] {
         &self.bounds
@@ -139,18 +152,11 @@ impl Histogram {
     }
 }
 
-/// The registry contents behind the global lock.
-#[derive(Debug, Default)]
-struct Registry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
+/// Last value of every gauge.
+static GAUGES: Mutex<BTreeMap<String, f64>> = Mutex::new(BTreeMap::new());
 
-static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
-
-fn lock_registry() -> MutexGuard<'static, Option<Registry>> {
-    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock_gauges() -> MutexGuard<'static, BTreeMap<String, f64>> {
+    GAUGES.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Adds `n` to the counter `name` (creating it at zero).
@@ -158,14 +164,12 @@ pub fn inc_counter(name: &str, n: u64) {
     if !crate::enabled() {
         return;
     }
-    let mut guard = lock_registry();
-    let reg = guard.get_or_insert_with(Registry::default);
-    match reg.counters.get_mut(name) {
+    shard::with_local(|s| match s.counters.get_mut(name) {
         Some(c) => *c += n,
         None => {
-            reg.counters.insert(name.to_string(), n);
+            s.counters.insert(name.to_string(), n);
         }
-    }
+    });
 }
 
 /// Sets the gauge `name` to `value` and streams a JSONL event when a run
@@ -174,11 +178,7 @@ pub fn set_gauge(name: &str, value: f64) {
     if !crate::enabled() {
         return;
     }
-    {
-        let mut guard = lock_registry();
-        let reg = guard.get_or_insert_with(Registry::default);
-        reg.gauges.insert(name.to_string(), value);
-    }
+    lock_gauges().insert(name.to_string(), value);
     runlog::emit_gauge(name, value);
 }
 
@@ -187,16 +187,14 @@ pub fn observe(name: &str, value: f64) {
     if !crate::enabled() {
         return;
     }
-    let mut guard = lock_registry();
-    let reg = guard.get_or_insert_with(Registry::default);
-    match reg.histograms.get_mut(name) {
+    shard::with_local(|s| match s.histograms.get_mut(name) {
         Some(h) => h.observe(value),
         None => {
             let mut h = Histogram::new();
             h.observe(value);
-            reg.histograms.insert(name.to_string(), h);
+            s.histograms.insert(name.to_string(), h);
         }
-    }
+    });
 }
 
 /// A point-in-time copy of the whole metrics registry.
@@ -210,22 +208,36 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, Histogram>,
 }
 
-/// Copies the current registry contents.
+/// Copies the current registry contents, merging every thread's counters
+/// and histograms by name.
 pub fn snapshot() -> MetricsSnapshot {
-    let guard = lock_registry();
-    guard
-        .as_ref()
-        .map(|r| MetricsSnapshot {
-            counters: r.counters.clone(),
-            gauges: r.gauges.clone(),
-            histograms: r.histograms.clone(),
-        })
-        .unwrap_or_default()
+    let mut snap = MetricsSnapshot {
+        gauges: lock_gauges().clone(),
+        ..MetricsSnapshot::default()
+    };
+    shard::for_each(|s| {
+        for (name, n) in &s.counters {
+            *snap.counters.entry(name.clone()).or_default() += n;
+        }
+        for (name, h) in &s.histograms {
+            match snap.histograms.get_mut(name) {
+                Some(merged) => merged.merge(h),
+                None => {
+                    snap.histograms.insert(name.clone(), h.clone());
+                }
+            }
+        }
+    });
+    snap
 }
 
 /// Clears every counter, gauge and histogram (new run starting).
 pub fn reset() {
-    *lock_registry() = None;
+    lock_gauges().clear();
+    shard::for_each(|s| {
+        s.counters.clear();
+        s.histograms.clear();
+    });
 }
 
 #[cfg(test)]

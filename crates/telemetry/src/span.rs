@@ -1,17 +1,19 @@
 //! RAII spans with thread-local nesting and per-name aggregation.
 //!
 //! A [`SpanGuard`] measures the wall time between its creation and drop on a
-//! monotonic clock. Every close folds the duration into a global
-//! [`SpanStats`] aggregate keyed by span name (count, total, min, max, and a
-//! log₂ duration histogram for p50/p95 estimates). Nesting depth is tracked
-//! per thread, so concurrent threads never corrupt each other's stacks; the
-//! aggregate map itself is a mutex whose critical section is a few adds.
+//! monotonic clock. Every close folds the duration into a [`SpanStats`]
+//! aggregate (count, total, min, max, and a log₂ duration histogram for
+//! p50/p95 estimates) in the recording thread's own shard, keyed by the
+//! address of the span's `&'static str` name, so a close hashes no name
+//! bytes and never waits on another thread. [`span_report`] merges the
+//! shards by name. Nesting depth is tracked per thread, so concurrent
+//! threads never corrupt each other's stacks.
 
-use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::runlog;
+use crate::{runlog, shard};
 
 /// Number of log₂ duration buckets (covers 1 ns … ~584 years).
 const NUM_BUCKETS: usize = 64;
@@ -54,6 +56,17 @@ impl SpanStats {
         self.buckets[idx.min(NUM_BUCKETS - 1)] += 1;
     }
 
+    /// Folds another aggregate of the same name into this one.
+    fn merge(&mut self, other: &SpanStats) {
+        self.count += other.count;
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+    }
+
     /// Mean duration in nanoseconds (0 when empty).
     pub fn mean_ns(&self) -> u64 {
         if self.count == 0 {
@@ -93,28 +106,14 @@ pub struct SpanAgg {
     pub stats: SpanStats,
 }
 
-/// The global span aggregator. Keys are the `&'static str` names the macros
-/// pass, so recording never allocates after a name's first appearance.
-static AGGREGATOR: Mutex<Option<HashMap<&'static str, SpanStats>>> = Mutex::new(None);
-
-fn lock_aggregator() -> MutexGuard<'static, Option<HashMap<&'static str, SpanStats>>> {
-    // A poisoned telemetry mutex must never take down the workload; the
-    // aggregates inside are plain counters and stay usable.
-    AGGREGATOR.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Folds a measured duration into the global aggregate for `name`.
+/// Folds a measured duration into the calling thread's aggregate for
+/// `name`.
 #[inline]
 pub fn record_duration(name: &'static str, ns: u64) {
     if !crate::enabled() {
         return;
     }
-    let mut guard = lock_aggregator();
-    guard
-        .get_or_insert_with(HashMap::new)
-        .entry(name)
-        .or_default()
-        .record(ns);
+    shard::with_local(|s| s.span(name).record(ns));
 }
 
 /// Interned `prefix + key` span names, so callsites with dynamic name parts
@@ -124,48 +123,44 @@ pub fn record_duration(name: &'static str, ns: u64) {
 static INTERNED: Mutex<Option<HashMap<(&'static str, &'static str), &'static str>>> =
     Mutex::new(None);
 
-/// Folds a duration into the aggregate named `prefix` + `key`, composing and
-/// interning the name on its first appearance only.
+fn intern(prefix: &'static str, key: &'static str) -> &'static str {
+    let mut guard = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+    let map = guard.get_or_insert_with(HashMap::new);
+    map.entry((prefix, key))
+        .or_insert_with(|| Box::leak(format!("{prefix}{key}").into_boxed_str()))
+}
+
+/// Folds a duration into the aggregate named `prefix` + `key`. The shard
+/// finds the pair by address; the name is composed and interned only on
+/// its first appearance in a shard.
 pub fn record_duration_prefixed(prefix: &'static str, key: &'static str, ns: u64) {
     if !crate::enabled() {
         return;
     }
-    let name: &'static str = {
-        let mut guard = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
-        let map = guard.get_or_insert_with(HashMap::new);
-        match map.get(&(prefix, key)) {
-            Some(n) => n,
-            None => {
-                let leaked: &'static str = Box::leak(format!("{prefix}{key}").into_boxed_str());
-                map.insert((prefix, key), leaked);
-                leaked
-            }
-        }
-    };
-    let mut guard = lock_aggregator();
-    guard
-        .get_or_insert_with(HashMap::new)
-        .entry(name)
-        .or_default()
-        .record(ns);
+    let seen = shard::with_local(|s| s.prefixed_span(prefix, key).map(|st| st.record(ns)));
+    if seen.is_none() {
+        let name = intern(prefix, key);
+        shard::with_local(|s| s.insert_prefixed_span(prefix, key, name).record(ns));
+    }
 }
 
-/// Snapshot of every span aggregate, sorted by total time (descending).
+/// Snapshot of every span aggregate, merged across threads by name and
+/// sorted by total time (descending).
 pub fn span_report() -> Vec<SpanAgg> {
-    let guard = lock_aggregator();
-    let mut out: Vec<SpanAgg> = guard
-        .as_ref()
-        .map(|m| {
-            m.iter()
-                .map(|(name, stats)| SpanAgg {
-                    name: (*name).to_string(),
-                    stats: stats.clone(),
-                })
-                .collect()
+    let mut merged: BTreeMap<&'static str, SpanStats> = BTreeMap::new();
+    shard::for_each(|s| {
+        for (name, stats) in &s.spans {
+            merged.entry(name).or_default().merge(stats);
+        }
+    });
+    let mut out: Vec<SpanAgg> = merged
+        .into_iter()
+        .map(|(name, stats)| SpanAgg {
+            name: name.to_string(),
+            stats,
         })
-        .unwrap_or_default();
-    // Tie-break by name: total_ns ties (e.g. two never-entered spans) must
-    // not leak HashMap iteration order into the report.
+        .collect();
+    // Ties on total_ns (e.g. two zero-length spans) sort by name.
     out.sort_by(|a, b| {
         b.stats
             .total_ns
@@ -175,10 +170,10 @@ pub fn span_report() -> Vec<SpanAgg> {
     out
 }
 
-/// Clears every span aggregate (called when a new run log starts so each
-/// run file is self-contained).
+/// Clears every span aggregate in every shard (called when a new run log
+/// starts so each run file is self-contained).
 pub fn reset() {
-    *lock_aggregator() = None;
+    shard::for_each(shard::Shard::clear_spans);
 }
 
 thread_local! {
@@ -194,10 +189,10 @@ thread_local! {
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
-    start: Instant,
+    /// `None` when telemetry is off: an inert guard reads no clock.
+    start: Option<Instant>,
     streamed: bool,
     depth: u32,
-    active: bool,
 }
 
 impl SpanGuard {
@@ -208,10 +203,9 @@ impl SpanGuard {
         if !crate::enabled() {
             return Self {
                 name,
-                start: Instant::now(),
+                start: None,
                 streamed: false,
                 depth: 0,
-                active: false,
             };
         }
         let depth = DEPTH.with(|d| {
@@ -221,20 +215,19 @@ impl SpanGuard {
         });
         Self {
             name,
-            start: Instant::now(),
+            start: Some(Instant::now()),
             streamed,
             depth,
-            active: true,
         }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.active {
+        let Some(start) = self.start else {
             return;
-        }
-        let ns = self.start.elapsed().as_nanos() as u64;
+        };
+        let ns = start.elapsed().as_nanos() as u64;
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         record_duration(self.name, ns);
         if self.streamed {

@@ -103,11 +103,13 @@ fi
 # Work gate: five single-thread smoke runs, each into a temp
 # DANCE_BENCH_DIR so the committed BENCH_smoke.json is never rewritten.
 # The machine-independent counters (tape nodes, arena fresh/reuse, the
-# chosen ops) must equal the committed file exactly in every run. Wall
-# time is only reported, median and min-max beside the committed
-# baseline: it depends on the host, and the noise-aware wall-time check
-# is the benchmark's parent-vs-change comparison (BENCHMARK.json).
-echo "== BENCH_smoke work-counter gate (5 runs, counters must equal the committed file) =="
+# chosen ops), the set of span names and each span's count must equal the
+# committed file exactly in every run, so telemetry that loses or
+# double-counts a record fails here. Wall time is only reported, median
+# and min-max beside the committed baseline: it depends on the host, and
+# the noise-aware wall-time check is the benchmark's parent-vs-change
+# comparison (BENCHMARK.json).
+echo "== BENCH_smoke work gate (5 runs, counters and span counts must equal the committed file) =="
 cargo build --release -q -p dance-bench --bin smoke
 for i in 1 2 3 4 5; do
   mkdir -p "${drill_dir}/smoke${i}"
@@ -122,17 +124,26 @@ runs = [json.load(open(p)) for p in sys.argv[2:]]
 exact = ("tape.nodes", "arena.fresh", "arena.reuse")
 def gated(doc):
     return {k: v for k, v in doc["counters"].items() if k in exact or k.startswith("search.chosen.")}
+def span_counts(doc):
+    return {s["name"]: s["count"] for s in doc["spans"]}
+def differ(want, got):
+    return {k: (want.get(k), got.get(k)) for k in sorted(set(want) | set(got)) if want.get(k) != got.get(k)}
 want = gated(committed)
+want_spans = span_counts(committed)
 missing = [k for k in exact if k not in want]
 if missing or not any(k.startswith("search.chosen.") for k in want):
     sys.exit(f"BENCH_smoke.json lacks gated counters: {missing or 'search.chosen.*'}")
+if not want_spans:
+    sys.exit("BENCH_smoke.json lacks spans")
 for i, run in enumerate(runs, 1):
-    got = gated(run)
-    if got != want:
-        diff = {k: (want.get(k), got.get(k)) for k in sorted(set(want) | set(got)) if want.get(k) != got.get(k)}
+    diff = differ(want, gated(run))
+    if diff:
         sys.exit(f"smoke run {i}: counters differ from BENCH_smoke.json (committed, fresh): {diff}")
+    diff = differ(want_spans, span_counts(run))
+    if diff:
+        sys.exit(f"smoke run {i}: span counts differ from BENCH_smoke.json (committed, fresh): {diff}")
 walls = sorted(r["total_wall_s"] for r in runs)
-print(f"smoke counters equal BENCH_smoke.json in all {len(runs)} runs")
+print(f"smoke counters and span counts equal BENCH_smoke.json in all {len(runs)} runs")
 print(f"smoke total_wall_s: median={statistics.median(walls):.3f}s "
       f"min-max={walls[0]:.3f}-{walls[-1]:.3f}s committed={committed['total_wall_s']:.3f}s (not gated)")
 PY
