@@ -13,7 +13,7 @@ use dance_accel::workload::{Network, SlotChoice};
 use dance_cost::metrics::CostFunction;
 use dance_cost::model::{CostModel, Detail, HardwareCost};
 
-use crate::table::CostTable;
+use crate::table::{CostTable, CFG_CHUNK};
 
 /// Result of an exact hardware search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,29 +33,46 @@ pub struct SearchResult {
 /// Exhaustive search over an arbitrary [`Network`] (no table needed).
 ///
 /// This is the general-purpose path: it prices every configuration in the
-/// space with the full cost model.
+/// space with the full cost model. The space is scanned in the fixed
+/// 64-configuration index ranges [`CostTable::new`] uses, on the backend
+/// pool. Each chunk keeps its first strict minimum and the chunk minima are
+/// merged in index order with the same strict `<`, so the result is the
+/// first strict minimum of a sequential scan, bit-identical at any
+/// `DANCE_THREADS`.
 pub fn exhaustive_search(
     network: &Network,
     space: &HardwareSpace,
     model: &CostModel,
     cost_fn: &CostFunction,
 ) -> SearchResult {
-    let mut best: Option<SearchResult> = None;
-    for (idx, config) in space.iter().enumerate() {
-        let cost = model.evaluate(network, &config, Detail::Totals).total;
-        let value = cost_fn.apply(&cost);
-        if best.as_ref().map_or(true, |b| value < b.value) {
-            best = Some(SearchResult {
-                config,
-                config_index: idx,
-                cost,
-                value,
-                evaluated: 0,
-            });
+    let n_cfg = space.len();
+    let network = network.clone();
+    let (space, model, cost_fn) = (*space, *model, *cost_fn);
+    let chunk_minima = dance_backend::run(n_cfg.div_ceil(CFG_CHUNK), move |chunk_idx| {
+        let start = chunk_idx * CFG_CHUNK;
+        let mut best: Option<SearchResult> = None;
+        for idx in start..(start + CFG_CHUNK).min(n_cfg) {
+            let config = space.config_at(idx);
+            let cost = model.evaluate(&network, &config, Detail::Totals).total;
+            let value = cost_fn.apply(&cost);
+            if best.as_ref().is_none_or(|b| value < b.value) {
+                best = Some(SearchResult {
+                    config,
+                    config_index: idx,
+                    cost,
+                    value,
+                    evaluated: 0,
+                });
+            }
         }
-    }
-    let mut r = best.expect("hardware space is never empty");
-    r.evaluated = space.len();
+        best
+    });
+    let mut r = chunk_minima
+        .into_iter()
+        .flatten()
+        .reduce(|best, c| if c.value < best.value { c } else { best })
+        .expect("hardware space is never empty");
+    r.evaluated = n_cfg;
     r
 }
 

@@ -16,11 +16,13 @@ use dance_accel::workload::{Network, NetworkTemplate, SlotChoice};
 use dance_cost::metrics::CostFunction;
 use dance_cost::model::{CostModel, Detail, HardwareCost, CLOCK_GHZ};
 
-/// Configurations priced per backend-pool chunk while building a table.
+/// Configurations priced per backend-pool chunk, by [`CostTable::new`] and
+/// by [`crate::exhaustive::exhaustive_search`].
 ///
 /// Fixed (never derived from the thread count) so the chunk decomposition —
-/// and therefore the assembled table — is identical at any `DANCE_THREADS`.
-const CFG_CHUNK: usize = 64;
+/// and therefore the assembled table and the search optimum — is identical
+/// at any `DANCE_THREADS`.
+pub(crate) const CFG_CHUNK: usize = 64;
 
 /// Latency (cycles) and energy (pJ) of a group of layers on one config.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -46,8 +48,11 @@ pub struct CostTable {
 impl CostTable {
     /// Prices the whole template × space cross product once.
     ///
-    /// This is the expensive constructor (≈1 M layer mappings for the paper
-    /// space); everything afterwards is table lookups.
+    /// This is the expensive constructor (723,945 layer pricings for the
+    /// CIFAR-10 template on the paper space); everything afterwards is table
+    /// lookups. Configurations are priced in fixed 64-configuration ranges
+    /// on the backend pool, so the table is bit-identical at any thread
+    /// count.
     pub fn new(template: &NetworkTemplate, model: &CostModel, space: &HardwareSpace) -> Self {
         let _span = dance_telemetry::span!("cost_table.build");
         let n_cfg = space.len();
@@ -88,7 +93,11 @@ impl CostTable {
         // Price configuration chunks on the backend pool. Each chunk covers a
         // fixed index range and every per-config value is a pure function of
         // its `cfg_idx`, so reassembling the chunks in index order yields the
-        // exact vectors the old sequential loop produced.
+        // exact vectors a sequential loop produces. Layer pricing is untimed;
+        // each chunk adds the layers it priced to `cost_table.layers` (one
+        // record per chunk, 4335 × 167 per CIFAR-10 table).
+        let layers_per_cfg =
+            fixed_layers.len() + slot_layer_lists.iter().map(Vec::len).sum::<usize>();
         let fixed_layers = Arc::new(fixed_layers);
         let slot_layer_lists = Arc::new(slot_layer_lists);
         let n_chunks = n_cfg.div_ceil(CFG_CHUNK).max(1);
@@ -119,6 +128,7 @@ impl CostTable {
                 slot_costs.push(per_slot);
                 area.push(dance_cost::area::area_mm2(&cfg));
             }
+            dance_telemetry::counter!("cost_table.layers", ((end - start) * layers_per_cfg) as u64);
             (fixed, slot_costs, area)
         });
 

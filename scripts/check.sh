@@ -56,6 +56,12 @@ DANCE_THREADS=1 cargo test -q --workspace --release
 echo "== cargo test (DANCE_THREADS=8) =="
 DANCE_THREADS=8 cargo test -q --workspace --release
 
+# `cargo test` builds no bench targets, and EXPERIMENTS.md quotes the
+# criterion benches, so build them here: a bench that stops compiling fails
+# the gate instead of the next `cargo bench`.
+echo "== cargo bench --no-run (dance-bench) =="
+cargo bench --offline --no-run -q -p dance-bench
+
 echo "== telemetry integration test =="
 cargo test -q --release --test telemetry_run
 
