@@ -106,7 +106,7 @@ fn arch_rows(n: usize, width: usize) -> Vec<f32> {
 }
 
 /// One full tape-path miss for `b` rows: metrics + discrete configs, the
-/// two forwards `serve::batch::run_batch` issues without a plan.
+/// two forwards the serve collector would issue without its frozen plan.
 fn tape_miss(evaluator: &Evaluator, space: &HardwareSpace, rows: &[f32], b: usize) -> f32 {
     let x = Var::constant(Tensor::from_vec(
         rows.to_vec(),
@@ -119,7 +119,7 @@ fn tape_miss(evaluator: &Evaluator, space: &HardwareSpace, rows: &[f32], b: usiz
 }
 
 /// One plan-path miss for `b` rows: stage, run, decode metrics and head
-/// argmaxes from the output arena — mirrors `run_batch_planned`.
+/// argmaxes from the output arena — mirrors `serve::batch::run_batch`.
 fn plan_miss(exec: &mut Executor, rows: &[f32], b: usize) -> f32 {
     exec.input_mut(b).copy_from_slice(rows);
     exec.run(b);

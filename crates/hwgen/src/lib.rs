@@ -23,7 +23,6 @@
 
 pub mod dataset;
 pub mod exhaustive;
-pub mod heuristic;
 pub mod table;
 
 /// Convenient glob-import of the most used items.
@@ -36,6 +35,5 @@ pub mod prelude {
     pub use crate::exhaustive::{
         branch_and_bound, exhaustive_search, exhaustive_search_table, SearchResult,
     };
-    pub use crate::heuristic::{hill_climb, optimality_gap, random_search};
     pub use crate::table::CostTable;
 }

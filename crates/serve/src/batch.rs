@@ -1,32 +1,28 @@
 //! Micro-batched learned-cost inference.
 //!
 //! `cost/predict` requests from all connections funnel into one bounded
-//! queue; a single collector thread pops the first pending request, gathers
-//! whatever else arrives inside a short window (up to `max_batch`), and
-//! runs one forward pass over the combined `[batch, arch_width]` matrix —
-//! amortizing `Evaluator::predict_metrics` + `HwGenNet::predict` across
-//! concurrent clients.
+//! queue. A single collector thread blocks until a request is queued, takes
+//! everything waiting at that moment (up to `max_batch`) and runs one
+//! forward pass of the frozen evaluator plan over the combined
+//! `[batch, arch_width]` matrix. Requests that arrive during that pass form
+//! the next batch, so no request waits on a timer for batch partners.
 //!
 //! Responses must stay **bit-identical regardless of batch composition**
 //! (the response cache replays them): the evaluator is frozen (batch norms
 //! use running statistics), the head read-out uses deterministic softmax
-//! sampling, and every per-row computation depends only on that row.
+//! sampling, and every per-row computation depends only on that row. A
+//! stochastic evaluator cannot freeze, so [`PredictBatcher::start`] refuses
+//! it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
-use dance::autograd::tensor::Tensor;
-use dance::autograd::var::Var;
 use dance_accel::space::HardwareSpace;
 use dance_evaluator::evaluator::Evaluator;
 use dance_evaluator::hwgen_net::HEAD_WIDTHS;
-use dance_plan::Executor;
+use dance_plan::{Executor, FreezeError};
 use dance_telemetry::json::push_num;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::proto::ProtoError;
 use crate::queue::Bounded;
@@ -44,10 +40,8 @@ pub struct PredictJob {
 /// Collector configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// Largest micro-batch assembled per forward pass.
+    /// Largest micro-batch taken per forward pass.
     pub max_batch: usize,
-    /// How long to linger for co-batchable requests after the first.
-    pub window: Duration,
     /// Queue capacity; pushes beyond it are shed with `503`.
     pub queue_capacity: usize,
 }
@@ -56,7 +50,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            window: Duration::from_millis(1),
             queue_capacity: 1024,
         }
     }
@@ -67,66 +60,34 @@ impl Default for BatchConfig {
 pub struct PredictBatcher {
     queue: Arc<Bounded<PredictJob>>,
     arch_width: usize,
-    plan_active: Arc<AtomicBool>,
     handle: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl PredictBatcher {
-    /// Starts the collector thread. The evaluator is built *inside* the
-    /// thread by `make` — the autograd graph is `Rc`-based and cannot
-    /// cross threads — and must accept `arch_width`-wide encodings.
+    /// Freezes `evaluator` into a static `dance-plan` and starts the
+    /// collector thread, which serves every micro-batch through the plan's
+    /// allocation-free executor. Only the executor moves to the collector:
+    /// the autograd graph is `Rc`-based and stays on the calling thread.
     ///
-    /// The collector freezes the evaluator into a static `dance-plan` and
-    /// serves every micro-batch through its allocation-free executor
-    /// (bit-identical to the tape path by the plan contract). Set
-    /// `DANCE_PLAN=off` to force the tape path; stochastic evaluators that
-    /// cannot freeze fall back to the tape automatically.
-    pub fn start(
-        arch_width: usize,
-        make: impl FnOnce() -> Evaluator + Send + 'static,
-        cfg: BatchConfig,
-    ) -> Self {
+    /// # Errors
+    ///
+    /// The evaluator cannot be frozen, e.g. its heads use Gumbel sampling,
+    /// whose noise is drawn per batch, so a row's answer would depend on
+    /// its batch peers.
+    pub fn start(evaluator: &Evaluator, cfg: BatchConfig) -> Result<Self, FreezeError> {
+        let arch_width = evaluator.arch_width();
+        let exec = Executor::new(evaluator.freeze_plan(cfg.max_batch)?);
         let queue = Arc::new(Bounded::new(cfg.queue_capacity));
         let worker_queue = queue.clone();
-        let plan_active = Arc::new(AtomicBool::new(false));
-        let plan_flag = plan_active.clone();
         let handle = dance_backend::spawn_service("serve-predict", move || {
-            let evaluator = make();
-            assert_eq!(
-                evaluator.arch_width(),
-                arch_width,
-                "collector evaluator width"
-            );
-            evaluator.freeze();
-            let plan_off = std::env::var("DANCE_PLAN").is_ok_and(|v| v == "off");
-            let exec = if plan_off {
-                None
-            } else {
-                match evaluator.freeze_plan(cfg.max_batch) {
-                    Ok(plan) => Some(Executor::new(plan)),
-                    Err(e) => {
-                        eprintln!("serve: predict plan unavailable, using tape path: {e}");
-                        None
-                    }
-                }
-            };
-            plan_flag.store(exec.is_some(), Ordering::SeqCst);
-            collector_loop(&evaluator, exec, &worker_queue, cfg);
+            collector_loop(exec, &worker_queue, cfg.max_batch, arch_width);
         })
         .expect("spawn predict collector thread");
-        Self {
+        Ok(Self {
             queue,
             arch_width,
-            plan_active,
             handle: Mutex::new(Some(handle)),
-        }
-    }
-
-    /// Whether the collector serves predictions from a frozen plan (for
-    /// `health` and telemetry). `false` until the collector finishes
-    /// freezing, or permanently when the plan path is off or unavailable.
-    pub fn plan_active(&self) -> bool {
-        self.plan_active.load(Ordering::SeqCst)
+        })
     }
 
     /// Encoding width requests must match (`NUM_SLOTS × NUM_CHOICES`).
@@ -182,38 +143,14 @@ impl PredictBatcher {
     }
 }
 
-fn collector_loop(
-    evaluator: &Evaluator,
-    mut exec: Option<Executor>,
-    queue: &Bounded<PredictJob>,
-    cfg: BatchConfig,
-) {
+fn collector_loop(mut exec: Executor, queue: &Bounded<PredictJob>, max_batch: usize, width: usize) {
     let space = HardwareSpace::new();
-    loop {
-        let Some(first) = queue.pop_timeout(Duration::from_millis(100)) else {
-            if queue.is_closed() && queue.is_empty() {
-                return;
-            }
-            continue;
-        };
-        let mut jobs = vec![first];
-        let window_end = Instant::now() + cfg.window;
-        while jobs.len() < cfg.max_batch {
-            let now = Instant::now();
-            if now >= window_end {
-                break;
-            }
-            match queue.pop_timeout(window_end - now) {
-                Some(job) => jobs.push(job),
-                None => break,
-            }
-        }
-        run_batch(evaluator, exec.as_mut(), &space, &jobs);
+    while let Some(jobs) = queue.pop_batch(max_batch) {
+        run_batch(&mut exec, &space, &jobs, width);
     }
 }
 
-/// Renders one row's response fragment — shared by the tape and plan paths
-/// so both produce byte-identical payloads.
+/// Renders one row's response fragment.
 fn render_row(metrics_row: &[f32], cfg_index: usize) -> String {
     let mut payload = String::with_capacity(64);
     payload.push_str("\"metrics\":[");
@@ -228,47 +165,8 @@ fn render_row(metrics_row: &[f32], cfg_index: usize) -> String {
     payload
 }
 
-/// One forward pass over the assembled micro-batch; every job receives its
-/// row's rendered payload. With a frozen plan available, the whole batch
-/// runs through the allocation-free executor (one shared trunk pass);
-/// otherwise it takes the original tape path.
-fn run_batch(
-    evaluator: &Evaluator,
-    exec: Option<&mut Executor>,
-    space: &HardwareSpace,
-    jobs: &[PredictJob],
-) {
-    let _span = dance_telemetry::hot_span!("serve.predict_batch");
-    dance_telemetry::gauge!("serve.predict.batch_size", jobs.len() as f64);
-    let width = evaluator.arch_width();
-    if let Some(exec) = exec {
-        dance_telemetry::counter!("serve.predict.plan_batch");
-        run_batch_planned(exec, space, jobs, width);
-        return;
-    }
-    let mut rows = Vec::with_capacity(jobs.len() * width);
-    for job in jobs {
-        rows.extend_from_slice(&job.arch);
-    }
-    let x = Var::constant(Tensor::from_vec(rows, &[jobs.len(), width]));
-    // Softmax head sampling consumes no randomness; the seed only satisfies
-    // the signature, keeping row results independent of batch composition.
-    let mut rng = StdRng::seed_from_u64(0);
-    let metrics = evaluator.predict_metrics(&x, &mut rng);
-    let metrics = metrics.value();
-    let configs = evaluator.predict_configs(&x, space);
-    for (i, job) in jobs.iter().enumerate() {
-        let payload = render_row(
-            &metrics.data()[i * 3..(i + 1) * 3],
-            space.index_of(&configs[i]),
-        );
-        // A send error only means the client hung up before its answer.
-        let _ = job.tx.send(Ok(payload));
-    }
-}
-
-/// Row-wise argmax with [`Tensor::argmax_rows`] semantics (ties keep the
-/// *last* maximum), so the plan path decodes the same head index the tape's
+/// Row-wise argmax with `Tensor::argmax_rows` semantics (ties keep the
+/// *last* maximum), so the plan decodes the same head index the tape's
 /// `predict_configs` would.
 fn argmax_last_max(row: &[f32]) -> usize {
     let mut best = 0;
@@ -285,15 +183,13 @@ fn argmax_last_max(row: &[f32]) -> usize {
 }
 
 // analyze:hot
-/// The plan-backed micro-batch: restage rows into the executor's input
-/// arena, one `run`, then decode metrics and head argmaxes straight from
-/// the output buffers. No tape, no tensor allocation.
-fn run_batch_planned(
-    exec: &mut Executor,
-    space: &HardwareSpace,
-    jobs: &[PredictJob],
-    width: usize,
-) {
+/// One forward pass over the micro-batch: restage rows into the executor's
+/// input arena, one `run`, then decode metrics and head argmaxes straight
+/// from the output buffers, and send every job its row's rendered payload.
+/// No tape, no tensor allocation.
+fn run_batch(exec: &mut Executor, space: &HardwareSpace, jobs: &[PredictJob], width: usize) {
+    let _span = dance_telemetry::hot_span!("serve.predict_batch");
+    dance_telemetry::histogram!("serve.predict.batch_size", jobs.len() as f64);
     let b = jobs.len();
     {
         let input = exec.input_mut(b);
@@ -320,19 +216,54 @@ fn run_batch_planned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dance::autograd::tensor::Tensor;
+    use dance::autograd::var::Var;
     use dance_evaluator::cost_net::CostNet;
     use dance_evaluator::hwgen_net::{HeadSampling, HwGenNet};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::time::Duration;
 
-    fn tiny_evaluator() -> Evaluator {
+    fn evaluator_with(sampling: HeadSampling) -> Evaluator {
         let mut rng = StdRng::seed_from_u64(7);
         let hwgen = HwGenNet::new(63, 16, &mut rng);
         let cost = CostNet::new(63 + dance_accel::space::ENCODED_WIDTH, 16, &mut rng);
-        Evaluator::with_feature_forwarding(hwgen, cost, 63, HeadSampling::Softmax { tau: 1.0 })
+        Evaluator::with_feature_forwarding(hwgen, cost, 63, sampling)
+    }
+
+    fn tiny_evaluator() -> Evaluator {
+        evaluator_with(HeadSampling::Softmax { tau: 1.0 })
+    }
+
+    fn start(cfg: BatchConfig) -> PredictBatcher {
+        PredictBatcher::start(&tiny_evaluator(), cfg).expect("softmax evaluator freezes")
+    }
+
+    /// Runs `rows` as one batch through `run_batch` and returns each row's
+    /// payload in order.
+    fn run_rows(exec: &mut Executor, rows: &[Vec<f32>]) -> Vec<String> {
+        let (jobs, rxs): (Vec<_>, Vec<_>) = rows
+            .iter()
+            .map(|arch| {
+                let (tx, rx) = mpsc::channel();
+                (
+                    PredictJob {
+                        arch: arch.clone(),
+                        tx,
+                    },
+                    rx,
+                )
+            })
+            .unzip();
+        run_batch(exec, &HardwareSpace::new(), &jobs, 63);
+        rxs.iter()
+            .map(|rx| rx.recv().expect("answer").expect("ok"))
+            .collect()
     }
 
     #[test]
     fn single_prediction_round_trips() {
-        let b = PredictBatcher::start(63, tiny_evaluator, BatchConfig::default());
+        let b = start(BatchConfig::default());
         let rx = b.submit(vec![0.1; 63]).expect("submit");
         let payload = rx
             .recv_timeout(Duration::from_secs(5))
@@ -345,7 +276,7 @@ mod tests {
 
     #[test]
     fn wrong_width_is_rejected_before_enqueue() {
-        let b = PredictBatcher::start(63, tiny_evaluator, BatchConfig::default());
+        let b = start(BatchConfig::default());
         let err = b.submit(vec![0.0; 5]).expect_err("must reject");
         assert_eq!(err.code, 400);
         b.shutdown();
@@ -353,99 +284,67 @@ mod tests {
 
     #[test]
     fn payload_is_independent_of_batch_composition() {
+        let evaluator = tiny_evaluator();
+        let mut exec = Executor::new(evaluator.freeze_plan(8).expect("softmax eval freezes"));
         let probe: Vec<f32> = (0..63).map(|i| (i as f32) / 63.0).collect();
-        // Batch of one.
-        let b = PredictBatcher::start(
-            63,
-            tiny_evaluator,
-            BatchConfig {
-                window: Duration::from_millis(0),
-                ..BatchConfig::default()
-            },
+        let solo = run_rows(&mut exec, std::slice::from_ref(&probe));
+        let rows: Vec<Vec<f32>> = (0..8)
+            .map(|k| {
+                if k == 3 {
+                    probe.clone()
+                } else {
+                    vec![0.31 + 0.07 * k as f32; 63]
+                }
+            })
+            .collect();
+        let batched = run_rows(&mut exec, &rows);
+        assert_eq!(
+            solo[0], batched[3],
+            "payload must not depend on batch peers"
         );
-        let solo = b
-            .submit(probe.clone())
-            .expect("submit")
-            .recv_timeout(Duration::from_secs(5))
-            .expect("answer")
-            .expect("ok");
-        b.shutdown();
-        // Same probe inside a larger, different batch.
-        let b = PredictBatcher::start(
-            63,
-            tiny_evaluator,
-            BatchConfig {
-                window: Duration::from_millis(50),
-                ..BatchConfig::default()
-            },
-        );
-        let mut receivers = Vec::new();
-        for k in 0..8 {
-            let row = if k == 3 {
-                probe.clone()
-            } else {
-                vec![0.31 + 0.07 * k as f32; 63]
-            };
-            receivers.push(b.submit(row).expect("submit"));
-        }
-        let batched = receivers[3]
-            .recv_timeout(Duration::from_secs(5))
-            .expect("answer")
-            .expect("ok");
-        b.shutdown();
-        assert_eq!(solo, batched, "payload must not depend on batch peers");
     }
 
     #[test]
-    fn planned_and_tape_payloads_are_byte_identical() {
+    fn plan_payloads_match_the_tape_reference() {
         let evaluator = tiny_evaluator();
-        evaluator.freeze();
         let mut exec = Executor::new(evaluator.freeze_plan(8).expect("softmax eval freezes"));
+        let rows: Vec<Vec<f32>> = (0..5)
+            .map(|k| (0..63).map(|i| ((i + 13 * k) as f32) / 80.0).collect())
+            .collect();
+        let planned = run_rows(&mut exec, &rows);
+        // Reference: the tape forward over the same rows.
         let space = HardwareSpace::new();
-        let make_jobs = || -> (Vec<PredictJob>, Vec<mpsc::Receiver<Result<String, ProtoError>>>) {
-            let mut jobs = Vec::new();
-            let mut rxs = Vec::new();
-            for k in 0..5 {
-                let (tx, rx) = mpsc::channel();
-                let arch: Vec<f32> = (0..63).map(|i| ((i + 13 * k) as f32) / 80.0).collect();
-                jobs.push(PredictJob { arch, tx });
-                rxs.push(rx);
-            }
-            (jobs, rxs)
-        };
-        let (jobs, rxs) = make_jobs();
-        run_batch(&evaluator, Some(&mut exec), &space, &jobs);
-        let planned: Vec<String> = rxs.iter().map(|r| r.recv().unwrap().unwrap()).collect();
-        let (jobs, rxs) = make_jobs();
-        run_batch(&evaluator, None, &space, &jobs);
-        let tape: Vec<String> = rxs.iter().map(|r| r.recv().unwrap().unwrap()).collect();
+        let x = Var::constant(Tensor::from_vec(rows.concat(), &[rows.len(), 63]));
+        let metrics = evaluator.predict_metrics(&x, &mut StdRng::seed_from_u64(0));
+        let metrics = metrics.value();
+        let configs = evaluator.predict_configs(&x, &space);
+        let tape: Vec<String> = (0..rows.len())
+            .map(|i| {
+                render_row(
+                    &metrics.data()[i * 3..(i + 1) * 3],
+                    space.index_of(&configs[i]),
+                )
+            })
+            .collect();
         assert_eq!(planned, tape, "plan path must not change a single byte");
     }
 
     #[test]
-    fn collector_reports_plan_active() {
-        let b = PredictBatcher::start(63, tiny_evaluator, BatchConfig::default());
-        // The flag is set before the collector answers its first job.
-        let rx = b.submit(vec![0.4; 63]).expect("submit");
-        rx.recv_timeout(Duration::from_secs(5))
-            .expect("answer")
-            .expect("ok");
-        assert!(b.plan_active(), "softmax evaluator must freeze into a plan");
-        b.shutdown();
+    fn stochastic_evaluator_is_refused_at_start() {
+        let gumbel = evaluator_with(HeadSampling::Gumbel { tau: 1.0 });
+        let err = PredictBatcher::start(&gumbel, BatchConfig::default())
+            .expect_err("a Gumbel evaluator cannot freeze");
+        assert!(err.to_string().contains("stochastic"), "{err}");
     }
 
     #[test]
     fn full_queue_sheds_with_503() {
-        // Tiny queue + an unstarted... the collector drains fast, so use a
-        // zero-capacity-equivalent: capacity 1 and flood synchronously.
-        let b = PredictBatcher::start(
-            63,
-            tiny_evaluator,
-            BatchConfig {
-                queue_capacity: 1,
-                ..BatchConfig::default()
-            },
-        );
+        // The collector drains fast, so use capacity 1 and flood
+        // synchronously.
+        let b = start(BatchConfig {
+            queue_capacity: 1,
+            ..BatchConfig::default()
+        });
         let mut shed = 0;
         for _ in 0..64 {
             if let Err(e) = b.submit(vec![0.2; 63]) {

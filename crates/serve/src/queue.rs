@@ -4,8 +4,8 @@
 //!
 //! * [`Bounded`] — a closable MPMC queue with a hard capacity. Producers
 //!   never block: a full queue is an immediate `Err`, which the dispatch
-//!   layer turns into `503 Overloaded`. Consumers block with a timeout so
-//!   drain flags are observed promptly.
+//!   layer turns into `503 Overloaded`. Consumers block until an item
+//!   arrives or the queue is closed, so a drain wakes them at once.
 //! * [`Admission`] — a concurrency limiter for work executed inline on
 //!   connection threads (analytic cost queries). Up to `max_active`
 //!   requests run at once; up to `max_waiting` more may wait, each bounded
@@ -93,6 +93,25 @@ impl<T> Bounded<T> {
                 .unwrap_or_else(PoisonError::into_inner);
             inner = guard;
         }
+    }
+
+    /// Blocks while the queue is empty, then takes everything already
+    /// waiting, up to `max` items (at least one), in FIFO order under one
+    /// lock. Returns `None` once the queue is closed *and* empty (items
+    /// enqueued before the close are still drained).
+    pub fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
+        let mut inner = self.lock();
+        while inner.queue.is_empty() {
+            if inner.closed {
+                return None;
+            }
+            inner = self
+                .available
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let n = inner.queue.len().min(max.max(1));
+        Some(inner.queue.drain(..n).collect())
     }
 
     /// Closes the queue: future pushes fail, consumers drain what is left
@@ -258,6 +277,32 @@ mod tests {
         let q2 = q.clone();
         let h = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(10)));
         std::thread::sleep(Duration::from_millis(20));
+        q.close();
+        assert_eq!(h.join().expect("consumer thread must not panic"), None);
+    }
+
+    #[test]
+    fn pop_batch_takes_what_is_queued_up_to_max() {
+        let q = Bounded::new(16);
+        for i in 0..10 {
+            assert!(q.try_push(i).is_ok());
+        }
+        assert_eq!(q.pop_batch(8), Some((0..8).collect::<Vec<_>>()));
+        assert_eq!(q.pop_batch(8), Some(vec![8, 9]));
+        q.close();
+        assert_eq!(q.pop_batch(8), None, "closed and drained");
+    }
+
+    #[test]
+    fn close_wakes_blocked_batch_consumer() {
+        let q = Arc::new(Bounded::<u32>::new(4));
+        let q2 = q.clone();
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let h = std::thread::spawn(move || {
+            ready_tx.send(()).expect("test thread is listening");
+            q2.pop_batch(8)
+        });
+        ready_rx.recv().expect("consumer started");
         q.close();
         assert_eq!(h.join().expect("consumer thread must not panic"), None);
     }

@@ -138,29 +138,28 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures, and fails when the served evaluator cannot
+    /// be frozen into the predict plan.
     pub fn bind(cfg: &ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let arch_width = proto::NUM_SLOTS * proto::NUM_CHOICES;
-        let (eval_seed, eval_width) = (cfg.eval_seed, cfg.eval_width);
-        // The autograd graph is Rc-based (not Send), so the evaluator is
-        // constructed inside the collector thread from plain seeds.
-        let make_evaluator = move || {
-            let mut rng = StdRng::seed_from_u64(eval_seed);
-            let hwgen = HwGenNet::new(arch_width, eval_width, &mut rng);
-            let cost_net = CostNet::new(
-                arch_width + dance_accel::space::ENCODED_WIDTH,
-                eval_width,
-                &mut rng,
-            );
-            Evaluator::with_feature_forwarding(
-                hwgen,
-                cost_net,
-                arch_width,
-                HeadSampling::Softmax { tau: 1.0 },
-            )
-        };
+        let mut rng = StdRng::seed_from_u64(cfg.eval_seed);
+        let hwgen = HwGenNet::new(arch_width, cfg.eval_width, &mut rng);
+        let cost_net = CostNet::new(
+            arch_width + dance_accel::space::ENCODED_WIDTH,
+            cfg.eval_width,
+            &mut rng,
+        );
+        let evaluator = Evaluator::with_feature_forwarding(
+            hwgen,
+            cost_net,
+            arch_width,
+            HeadSampling::Softmax { tau: 1.0 },
+        );
+        // Started first, so a freeze error returns before any other worker
+        // thread exists.
+        let batcher = PredictBatcher::start(&evaluator, cfg.batch).map_err(io::Error::other)?;
         let fleet = match FleetTable::start(&cfg.fleet_root, cfg.fleet_workers, cfg.fleet_lease_ms)
         {
             Ok(table) => Some(table),
@@ -172,7 +171,7 @@ impl Server {
         let shared = Arc::new(Shared {
             cache: ResponseCache::new(cfg.cache_capacity, cfg.cache_shards),
             admission: Admission::new(cfg.max_inflight, cfg.max_waiting),
-            batcher: PredictBatcher::start(arch_width, make_evaluator, cfg.batch),
+            batcher,
             jobs: JobTable::start(cfg.search_workers, cfg.job_queue, cfg.ckpt_root.clone()),
             campaigns: CampaignTable::new(cfg.campaign_root.clone()),
             fleet: std::sync::Mutex::new(fleet),
@@ -665,13 +664,7 @@ fn health_payload(shared: &Shared) -> String {
     push_num(&mut p, cache.misses as f64);
     p.push_str(",\"hit_rate\":");
     push_num(&mut p, cache.hit_rate());
-    p.push_str("},\"predict_plan\":");
-    p.push_str(if shared.batcher.plan_active() {
-        "true"
-    } else {
-        "false"
-    });
-    p.push_str(",\"queues\":{\"predict\":");
+    p.push_str("},\"queues\":{\"predict\":");
     push_num(&mut p, shared.batcher.depth() as f64);
     p.push_str(",\"jobs\":");
     push_num(&mut p, shared.jobs.depth() as f64);

@@ -93,18 +93,28 @@ cargo test -q --release --features fault-injection --test fleet_faults
 
 # Process-level chaos drill: run the same job set straight and with one
 # worker SIGKILLed mid-run; the per-job arch-digest lines must be identical.
+# Eight epochs keep the drill running well past its 300 ms kill, and its
+# summary line must show the kill and a reclaim: a drill that finished
+# before the kill would only compare two clean runs.
 echo "== fleet chaos drill (kill-one-worker, digests must match) =="
 cargo build --release -q --bin dance_fleet
 drill_dir="$(mktemp -d)"
 trap 'rm -rf "${drill_dir}"' EXIT
-./target/release/dance_fleet --jobs 3 --epochs 4 --workers 2 \
+./target/release/dance_fleet --jobs 3 --epochs 8 --workers 2 \
   --dir "${drill_dir}/straight" | grep "arch-digest" | sort > "${drill_dir}/straight.txt"
-./target/release/dance_fleet --jobs 3 --epochs 4 --workers 2 --lease-ttl-ms 2500 \
-  --chaos-kill-ms 300 --dir "${drill_dir}/drill" | grep "arch-digest" | sort > "${drill_dir}/drill.txt"
+./target/release/dance_fleet --jobs 3 --epochs 8 --workers 2 --lease-ttl-ms 2500 \
+  --chaos-kill-ms 300 --dir "${drill_dir}/drill" > "${drill_dir}/drill.log"
+grep "arch-digest" "${drill_dir}/drill.log" | sort > "${drill_dir}/drill.txt"
 if ! diff -u "${drill_dir}/straight.txt" "${drill_dir}/drill.txt"; then
   echo "fleet chaos drill diverged from the straight run" >&2
   exit 1
 fi
+if ! grep -Eq "[1-9][0-9]* reclaims, 1 kills," "${drill_dir}/drill.log"; then
+  echo "fleet chaos drill did not kill a worker and reclaim its lease:" >&2
+  grep "^fleet:" "${drill_dir}/drill.log" >&2 || true
+  exit 1
+fi
+grep "^fleet:" "${drill_dir}/drill.log"
 
 # Work gate: five single-thread smoke runs, each into a temp
 # DANCE_BENCH_DIR so the committed BENCH_smoke.json is never rewritten.
