@@ -43,12 +43,6 @@ impl LeaseTable {
         }
     }
 
-    /// The lease TTL in the caller's clock units.
-    #[must_use]
-    pub fn ttl_ms(&self) -> u64 {
-        self.ttl_ms
-    }
-
     /// Grants `job` to `worker` for `attempt`, replacing any prior lease
     /// (the caller decides when that is legal — normally only after a
     /// reclaim has reverted the job to pending).

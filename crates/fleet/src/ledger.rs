@@ -455,12 +455,6 @@ impl LedgerStore {
         Ok(())
     }
 
-    /// The directory this store writes into.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path of the most recently written generation, if any.
     #[must_use]
     pub fn newest_path(&self) -> Option<PathBuf> {
@@ -472,12 +466,6 @@ impl LedgerStore {
                     .join(format!("ledger-{:06}.json", self.next_gen - 1)),
             )
         }
-    }
-
-    /// Ledger rewrites performed by this store instance.
-    #[must_use]
-    pub fn rewrites(&self) -> u64 {
-        self.rewrites
     }
 }
 

@@ -23,15 +23,19 @@
 //!   resumes from the last heartbeat's state and reproduces the
 //!   uninterrupted run's `arch-digest` bit-for-bit.
 //!
-//! Two supervisors drive those pieces: [`supervisor`] runs worker threads
-//! in-process (what `dance-serve` mounts behind its `fleet/*` endpoints),
-//! and [`process`] spawns real child processes (what the `dance_fleet`
-//! binary and the SIGKILL chaos drills use).
+//! One supervisor drives those pieces: [`supervisor::Fleet`] claims jobs on
+//! worker threads and runs each attempt over one of two transports — on
+//! the worker thread itself (what `dance-serve` mounts behind its
+//! `fleet/*` endpoints), or as a `--worker` child process spawned through
+//! [`process`] (what the `dance_fleet` binary and the SIGKILL chaos drills
+//! use). Claim, renewal, fenced completion and reclaim are written once,
+//! so the transports differ only in how an attempt runs and how its death
+//! is seen.
 //!
 //! Chaos drills are first-class: `dance-guard`'s `FaultPlan` gains
 //! process-level faults (`KillWorker`, `StallHeartbeat`, `TornLedgerWrite`,
-//! `SlowPeer`), carried here as [`worker::AttemptChaos`] knobs, and the
-//! process fleet can deliver a real `SIGKILL` mid-search.
+//! `SlowPeer`), carried here as [`worker::AttemptChaos`] knobs, and a fleet
+//! of child workers can deliver a real `SIGKILL` mid-search.
 
 pub mod lease;
 pub mod ledger;
@@ -43,7 +47,7 @@ pub mod worker;
 pub mod prelude {
     pub use crate::lease::{Lease, LeaseTable};
     pub use crate::ledger::{JobRecord, JobSpec, JobStatus, Ledger, LedgerStore};
-    pub use crate::process::{run_process_fleet, ProcessFleetConfig, ProcessReport};
+    pub use crate::process::run_fleet;
     pub use crate::supervisor::{Fleet, FleetCounts, FleetOpts, JobView, WorkerHealth};
     pub use crate::worker::{run_job, worker_main, AttemptChaos, JobOutcome, WorkerArgs};
 }

@@ -1,405 +1,104 @@
-//! The process fleet: N worker child processes supervised over pipes.
+//! The child-process transport and the run-to-completion helper behind the
+//! `dance_fleet` and `fleet_bench` binaries.
 //!
-//! This is the deployment-shaped flavor behind the `dance_fleet` binary and
-//! the chaos-drill bench: each attempt runs in its own child process
-//! (`<exe> --worker ...`), heartbeats arrive as NDJSON lines on the child's
-//! stdout, and the supervisor drives the same ledger + lease state machine
-//! as [`crate::supervisor`]. Because workers are real processes, the kill
-//! drill is a real `SIGKILL` — no unwinding, no destructors — and recovery
-//! is the real path: pipe EOF (or lease expiry) reverts the job to pending,
-//! the next dispatch passes `--resume`, and the child picks up from the
-//! last durable checkpoint.
-//!
-//! The supervisor is single-threaded; one reader thread per child pumps
-//! stdout lines into an mpsc channel, so the loop never blocks on a pipe.
+//! With [`FleetOpts::worker_exe`] set, each attempt runs in its own child
+//! process (`<exe> --worker ...`, see [`crate::worker::worker_main`]) that
+//! reports v1 NDJSON on stdout: one `hb` line per durable epoch, then a
+//! final `done` or `failed` line. This module spawns that child and parses
+//! its lines; the supervisor ([`crate::supervisor`]) owns everything the
+//! lines drive — lease renewal, fencing-checked completion, reclaim on pipe
+//! EOF and the `SIGKILL` of a child whose lease expired. Because workers
+//! are real processes, the kill drill is a real `SIGKILL` — no unwinding,
+//! no destructors — and recovery is the real path: the next dispatch passes
+//! `--resume` and the child picks up from the last durable checkpoint.
 
-use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dance_telemetry::json::{self, Json};
 
-use crate::lease::LeaseTable;
-use crate::ledger::{JobSpec, JobStatus, LedgerStore};
-use crate::worker::{AttemptChaos, WorkerArgs};
+use crate::ledger::JobSpec;
+use crate::supervisor::{Fleet, FleetCounts, FleetOpts, JobView};
+use crate::worker::WorkerArgs;
 
-/// Configuration for [`run_process_fleet`].
-#[derive(Debug, Clone)]
-pub struct ProcessFleetConfig {
-    /// Jobs to run (idempotently submitted into the ledger).
-    pub specs: Vec<JobSpec>,
-    /// Maximum concurrent worker processes.
-    pub workers: usize,
-    /// Root directory: ledger under `<dir>/ledger`, checkpoints under
-    /// `<dir>/ckpt/<job-id>`.
-    pub dir: PathBuf,
-    /// Lease TTL in milliseconds; must comfortably exceed one epoch.
-    pub lease_ttl_ms: u64,
-    /// Chaos drill: `SIGKILL` one busy worker once, this many ms into the
-    /// run. `None` runs clean.
-    pub chaos_kill_after_ms: Option<u64>,
-    /// Chaos knobs forwarded to each job's *first* attempt (stall/slow
-    /// drills); re-dispatched attempts run clean.
-    pub worker_chaos: AttemptChaos,
+/// One parsed line of a worker child's stdout.
+#[derive(Debug)]
+pub(crate) enum WorkerEvent {
+    /// Heartbeat: another epoch's checkpoint is durable.
+    Beat,
+    /// The search finished.
+    Done {
+        /// `arch-digest` of the final architecture probabilities.
+        digest: u64,
+        /// Epochs the search ran.
+        epochs: u64,
+    },
+    /// The attempt failed with this cause.
+    Failed(String),
 }
 
-impl ProcessFleetConfig {
-    /// Defaults: 2 workers, 5 s leases, no chaos.
-    #[must_use]
-    pub fn new(dir: PathBuf, specs: Vec<JobSpec>) -> Self {
-        Self {
-            specs,
-            workers: 2,
-            dir,
-            lease_ttl_ms: 5_000,
-            chaos_kill_after_ms: None,
-            worker_chaos: AttemptChaos::default(),
-        }
-    }
+/// Spawns `<exe> --worker ...` for one attempt with its stdout piped.
+pub(crate) fn spawn_worker(exe: &Path, args: &WorkerArgs) -> io::Result<Child> {
+    Command::new(exe)
+        .arg("--worker")
+        .args(args.to_argv())
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        // lint: allow(raw-spawn) OS process, not a thread; fleet workers are child processes by design
+        .spawn()
 }
 
-/// What a finished process-fleet run reports.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ProcessReport {
-    /// Final `arch-digest` per completed job.
-    pub digests: BTreeMap<String, u64>,
-    /// Failure cause per failed job.
-    pub failures: BTreeMap<String, String>,
-    /// Leases reclaimed (EOF-detected deaths and expiries).
-    pub reclaims: u64,
-    /// Chaos `SIGKILL`s delivered.
-    pub kills: u64,
-    /// Stale results discarded by fencing.
-    pub fenced: u64,
-    /// Reclaim-to-redispatch latencies in milliseconds.
-    pub recoveries_ms: Vec<u64>,
-    /// Total wall time in milliseconds.
-    pub wall_ms: u64,
-}
-
-impl ProcessReport {
-    /// The p95 recovery latency, if any recovery happened.
-    #[must_use]
-    pub fn recovery_p95_ms(&self) -> Option<u64> {
-        percentile(&self.recoveries_ms, 0.95)
-    }
-}
-
-/// Nearest-rank percentile over raw samples.
-#[must_use]
-pub fn percentile(samples: &[u64], q: f64) -> Option<u64> {
-    if samples.is_empty() {
+/// Parses one line from the child running `job`. Lines that are not JSON,
+/// name another job or carry an incomplete result yield `None`.
+pub(crate) fn parse_event(line: &str, job: &str) -> Option<WorkerEvent> {
+    let doc = json::parse(line).ok()?;
+    if doc.get("job").and_then(Json::as_str) != Some(job) {
         return None;
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
+    match doc.get("event").and_then(Json::as_str)? {
+        "hb" => Some(WorkerEvent::Beat),
+        "done" => Some(WorkerEvent::Done {
+            digest: doc
+                .get("digest")
+                .and_then(Json::as_str)
+                .and_then(|s| u64::from_str_radix(s, 16).ok())?,
+            epochs: doc.get("epochs").and_then(Json::as_f64)? as u64,
+        }),
+        "failed" => Some(WorkerEvent::Failed(
+            doc.get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("unknown")
+                .to_string(),
+        )),
+        _ => None,
+    }
 }
 
-enum Event {
-    Line(usize, String),
-    Eof(usize),
-}
-
-struct Slot {
-    child: Child,
-    job: String,
-    attempt: u64,
-    reader: Option<std::thread::JoinHandle<()>>,
-}
-
-/// Runs `cfg.specs` to completion under `exe` (the `dance_fleet` binary —
-/// workers are `exe --worker ...` children). Resumable: an existing ledger
-/// under `cfg.dir` is recovered first, finished jobs are not re-run, and
-/// interrupted ones resume from their checkpoints.
+/// Starts a fleet from `opts`, submits `specs`, waits until every job in
+/// its ledger settles and shuts it down, returning the final counts and
+/// jobs. Resumable: an existing ledger under `opts.dir` is recovered first,
+/// finished jobs are not re-run, and interrupted ones resume from their
+/// checkpoints.
 ///
 /// # Errors
 ///
-/// Propagates ledger I/O and process-spawn failures. Individual job
-/// failures land in the report, not here.
-#[allow(clippy::too_many_lines)]
-pub fn run_process_fleet(exe: &Path, cfg: &ProcessFleetConfig) -> io::Result<ProcessReport> {
-    let start = Instant::now();
-    let now_ms = |start: &Instant| u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-    let (mut store, mut ledger, skipped) = LedgerStore::open(&cfg.dir.join("ledger"))?;
-    if skipped > 0 {
-        eprintln!("fleet: skipped {skipped} torn ledger generation(s) on recovery");
+/// Propagates ledger I/O failures, and rejects a spec that fails
+/// search-config validation. Individual job failures, including a worker
+/// that cannot be spawned, land in the returned jobs, not here.
+pub fn run_fleet(opts: FleetOpts, specs: &[JobSpec]) -> io::Result<(FleetCounts, Vec<JobView>)> {
+    let fleet = Fleet::start(opts)?;
+    if let Err(e) = specs
+        .iter()
+        .try_for_each(|spec| fleet.submit(*spec).map(drop))
+    {
+        fleet.shutdown();
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, e));
     }
-    let ckpt_root = cfg.dir.join("ckpt");
-    std::fs::create_dir_all(&ckpt_root)?;
-    for spec in &cfg.specs {
-        ledger.submit(*spec);
-    }
-    store.save(&ledger)?;
-
-    let workers = cfg.workers.max(1);
-    let mut leases = LeaseTable::new(cfg.lease_ttl_ms);
-    let mut slots: Vec<Option<Slot>> = (0..workers).map(|_| None).collect();
-    let (tx, rx) = mpsc::channel::<Event>();
-    let mut report = ProcessReport::default();
-    let mut reclaimed_at: BTreeMap<String, u64> = BTreeMap::new();
-    let mut chaos_armed = cfg.chaos_kill_after_ms.is_some();
-
-    while !ledger.all_settled() || slots.iter().any(Option::is_some) {
-        // Dispatch pending jobs onto free slots.
-        let mut dirty = false;
-        for (slot_idx, slot) in slots.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            let Some(job) = ledger
-                .jobs
-                .iter()
-                .find(|(_, r)| r.status == JobStatus::Pending)
-                .map(|(id, _)| id.clone())
-            else {
-                break;
-            };
-            let worker_name = format!("proc-w{slot_idx}");
-            let (spec, attempt) = {
-                let rec = ledger.jobs.get_mut(&job).expect("job just found");
-                rec.attempt += 1;
-                rec.status = JobStatus::Leased {
-                    worker: worker_name.clone(),
-                };
-                (rec.spec, rec.attempt)
-            };
-            let now = now_ms(&start);
-            leases.grant(&job, &worker_name, attempt, now);
-            if let Some(t0) = reclaimed_at.remove(&job) {
-                let latency = now.saturating_sub(t0);
-                report.recoveries_ms.push(latency);
-                dance_telemetry::histogram!("fleet.recovery_ms", latency as f64);
-            }
-            let args = WorkerArgs {
-                spec,
-                ckpt: ckpt_root.join(&job),
-                resume: attempt > 1,
-                chaos: if attempt == 1 {
-                    cfg.worker_chaos
-                } else {
-                    AttemptChaos::default()
-                },
-            };
-            let mut child = Command::new(exe)
-                .arg("--worker")
-                .args(args.to_argv())
-                .stdin(Stdio::null())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::null())
-                // lint: allow(raw-spawn) OS process, not a thread; fleet workers are child processes by design
-                .spawn()?;
-            let stdout = child.stdout.take().expect("stdout was piped");
-            let tx_reader = tx.clone();
-            let reader = dance_backend::spawn_service(&format!("fleet-reader-{slot_idx}"), {
-                move || {
-                    let buf = BufReader::new(stdout);
-                    for line in buf.lines() {
-                        match line {
-                            Ok(l) => {
-                                if tx_reader.send(Event::Line(slot_idx, l)).is_err() {
-                                    return;
-                                }
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    let _unused = tx_reader.send(Event::Eof(slot_idx));
-                }
-            })?;
-            *slot = Some(Slot {
-                child,
-                job,
-                attempt,
-                reader: Some(reader),
-            });
-            dirty = true;
-        }
-        if dirty {
-            store.save(&ledger)?;
-        }
-
-        // Pump events for a tick.
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(Event::Line(slot_idx, line)) => {
-                let worker_name = format!("proc-w{slot_idx}");
-                if let Ok(doc) = json::parse(&line) {
-                    handle_event(
-                        &doc,
-                        &worker_name,
-                        &mut ledger,
-                        &mut leases,
-                        &slots,
-                        slot_idx,
-                        now_ms(&start),
-                        &mut report,
-                    );
-                    store.save(&ledger)?;
-                }
-            }
-            Ok(Event::Eof(slot_idx)) => {
-                if let Some(mut slot) = slots[slot_idx].take() {
-                    let _unused = slot.child.wait();
-                    if let Some(r) = slot.reader.take() {
-                        let _unused = r.join();
-                    }
-                    let worker_name = format!("proc-w{slot_idx}");
-                    // A child that went away without settling its job died
-                    // mid-attempt: reclaim immediately (EOF beats the TTL).
-                    let still_mine = matches!(
-                        ledger.jobs.get(&slot.job).map(|r| (&r.status, r.attempt)),
-                        Some((JobStatus::Leased { worker }, attempt))
-                            if *worker == worker_name && attempt == slot.attempt
-                    );
-                    if still_mine {
-                        leases.release(&slot.job, &worker_name, slot.attempt);
-                        if let Some(rec) = ledger.jobs.get_mut(&slot.job) {
-                            rec.status = JobStatus::Pending;
-                        }
-                        reclaimed_at.insert(slot.job.clone(), now_ms(&start));
-                        report.reclaims += 1;
-                        dance_telemetry::counter!("fleet.lease.reclaimed");
-                        store.save(&ledger)?;
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-
-        // Reclaim expired leases: kill the wedged child, revert the job.
-        let now = now_ms(&start);
-        let expired = leases.expire(now);
-        for (job, lease) in expired {
-            report.reclaims += 1;
-            dance_telemetry::counter!("fleet.lease.reclaimed");
-            for slot in slots.iter_mut().flatten() {
-                if slot.job == job && slot.attempt == lease.attempt {
-                    let _unused = slot.child.kill();
-                }
-            }
-            if let Some(rec) = ledger.jobs.get_mut(&job) {
-                if matches!(rec.status, JobStatus::Leased { .. }) {
-                    rec.status = JobStatus::Pending;
-                }
-            }
-            reclaimed_at.insert(job, now);
-            store.save(&ledger)?;
-        }
-
-        // The chaos drill: one real SIGKILL to one busy worker.
-        if chaos_armed {
-            if let Some(after) = cfg.chaos_kill_after_ms {
-                if now_ms(&start) >= after {
-                    if let Some(slot) = slots.iter_mut().flatten().next() {
-                        let _unused = slot.child.kill();
-                        report.kills += 1;
-                        dance_telemetry::counter!("fleet.chaos.kills");
-                        chaos_armed = false;
-                    }
-                }
-            }
-        }
-    }
-
-    for (id, rec) in &ledger.jobs {
-        match &rec.status {
-            JobStatus::Done { digest, .. } => {
-                report.digests.insert(id.clone(), *digest);
-            }
-            JobStatus::Failed { error } => {
-                report.failures.insert(id.clone(), error.clone());
-            }
-            JobStatus::Pending | JobStatus::Leased { .. } => {}
-        }
-    }
-    report.wall_ms = now_ms(&start);
-    store.save(&ledger)?;
-    Ok(report)
-}
-
-/// Applies one worker NDJSON event to the ledger, fencing stale results.
-#[allow(clippy::too_many_arguments)]
-fn handle_event(
-    doc: &Json,
-    worker_name: &str,
-    ledger: &mut crate::ledger::Ledger,
-    leases: &mut LeaseTable,
-    slots: &[Option<Slot>],
-    slot_idx: usize,
-    now: u64,
-    report: &mut ProcessReport,
-) {
-    let Some(event) = doc.get("event").and_then(Json::as_str) else {
-        return;
-    };
-    let Some(job) = doc.get("job").and_then(Json::as_str) else {
-        return;
-    };
-    let attempt = slots[slot_idx]
-        .as_ref()
-        .filter(|s| s.job == job)
-        .map(|s| s.attempt);
-    let Some(attempt) = attempt else {
-        return; // A line about a job this slot no longer owns.
-    };
-    match event {
-        "hb" => {
-            let _renewed = leases.renew(job, worker_name, attempt, now);
-        }
-        "done" => {
-            let digest = doc
-                .get("digest")
-                .and_then(Json::as_str)
-                .and_then(|s| u64::from_str_radix(s, 16).ok());
-            let epochs = doc.get("epochs").and_then(Json::as_f64).map(|f| f as u64);
-            if let (Some(digest), Some(epochs)) = (digest, epochs) {
-                if leases.release(job, worker_name, attempt) {
-                    if let Some(rec) = ledger.jobs.get_mut(job) {
-                        rec.status = JobStatus::Done { digest, epochs };
-                    }
-                    dance_telemetry::counter!("fleet.jobs.done");
-                } else {
-                    report.fenced += 1;
-                    dance_telemetry::counter!("fleet.result.fenced");
-                }
-            }
-        }
-        "failed" => {
-            let error = doc
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or("unknown")
-                .to_string();
-            if leases.release(job, worker_name, attempt) {
-                if let Some(rec) = ledger.jobs.get_mut(job) {
-                    rec.status = JobStatus::Failed { error };
-                }
-                dance_telemetry::counter!("fleet.jobs.failed");
-            } else {
-                report.fenced += 1;
-            }
-        }
-        _ => {}
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        assert_eq!(percentile(&[], 0.95), None);
-        assert_eq!(percentile(&[7], 0.95), Some(7));
-        let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&samples, 0.95), Some(95));
-        assert_eq!(percentile(&samples, 0.5), Some(50));
-        let unsorted = [30u64, 10, 20];
-        assert_eq!(percentile(&unsorted, 1.0), Some(30));
-    }
+    while !fleet.wait_settled(Duration::from_secs(60)) {}
+    let out = (fleet.counts(), fleet.jobs());
+    fleet.shutdown();
+    Ok(out)
 }

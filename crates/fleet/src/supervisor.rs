@@ -1,25 +1,31 @@
-//! The in-process fleet: worker threads, a lease supervisor and the
-//! durable ledger behind one handle.
+//! The fleet supervisor: worker threads, a lease sweep and the durable
+//! ledger behind one handle, with two transports for an attempt.
 //!
-//! This is the embeddable flavor `dance-serve` mounts behind its
-//! `fleet/*` endpoints and the one the recovery tests drill — same ledger,
-//! same lease state machine, same [`crate::worker::run_job`] execution path
-//! as the process fleet in [`crate::process`], with thread workers standing
-//! in for child processes. A "killed" worker here is a thread that abandons
-//! its attempt without releasing the lease; the supervisor reclaims the
-//! lease on expiry and the next dispatch resumes from the last durable
-//! checkpoint.
+//! Each attempt runs on the worker thread that claimed it. Without
+//! [`FleetOpts::worker_exe`] (what `dance-serve` mounts behind its
+//! `fleet/*` endpoints and what the recovery tests drill) the thread calls
+//! [`crate::worker::run_job`] itself, and a "killed" worker is a thread
+//! that abandons its attempt without releasing the lease, so the sweep
+//! reclaims it on expiry. With `worker_exe` set (the `dance_fleet` binary
+//! and the SIGKILL drills) the thread spawns `<exe> --worker …` through
+//! [`crate::process`] and reads the child's lines instead: `hb` takes the
+//! same renewal step and `done`/`failed` the same fencing-checked
+//! completion as a thread attempt, pipe EOF without a result reclaims the
+//! lease at once, and the sweep SIGKILLs the child of any expired lease.
+//! Either way the next dispatch resumes from the last durable checkpoint.
 //!
-//! Locking follows the workspace single-lock rule: all mutable state lives
-//! in one `Mutex<Core>` taken as a statement temporary, never across I/O or
-//! a join. Ledger writes happen outside that lock under a dedicated leaf
-//! mutex, ordered by a save sequence so a stale render can never clobber a
-//! newer generation.
+//! Locking follows the workspace single-lock rule: all mutable state,
+//! running children included, lives in one `Mutex<Core>` taken as a
+//! statement temporary, never across I/O, a wait or a join (a `SIGKILL`
+//! sent under it does not block). Ledger writes
+//! happen outside that lock under a dedicated leaf mutex, ordered by a save
+//! sequence so a stale render can never clobber a newer generation.
 
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, BufRead, BufReader};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Child;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -28,7 +34,8 @@ use dance::prelude::{LambdaWarmup, SearchConfig};
 
 use crate::lease::LeaseTable;
 use crate::ledger::{JobRecord, JobSpec, JobStatus, Ledger, LedgerStore};
-use crate::worker::{panic_message, run_job, AttemptChaos};
+use crate::process::{parse_event, spawn_worker, WorkerEvent};
+use crate::worker::{panic_message, run_job, AttemptChaos, WorkerArgs};
 
 /// Sentinel panic a chaos-killed in-process attempt dies with.
 const FLEET_KILL: &str = "FLEET_KILL";
@@ -41,7 +48,7 @@ pub struct FleetOpts {
     /// Root directory: the ledger lives in `<dir>/ledger`, per-job
     /// checkpoints under `<dir>/ckpt/<job-id>`.
     pub dir: PathBuf,
-    /// Worker threads (at least 1).
+    /// Worker threads (at least 1), each running one attempt at a time.
     pub workers: usize,
     /// Lease TTL in milliseconds. Heartbeats are per-epoch, so this must
     /// comfortably exceed one epoch's wall time.
@@ -50,13 +57,19 @@ pub struct FleetOpts {
     /// re-dispatched attempts run clean, which is what lets a drill assert
     /// recovery instead of looping forever.
     pub chaos: AttemptChaos,
+    /// Worker binary. When set, every attempt runs as an `<exe> --worker …`
+    /// child process instead of on its worker thread.
+    pub worker_exe: Option<PathBuf>,
+    /// Chaos drill for child workers: `SIGKILL` one running child once,
+    /// this many ms after start. `None` runs clean.
+    pub chaos_kill_after_ms: Option<u64>,
     /// Torn-ledger-write script for the store (fault-injection builds).
     #[cfg(feature = "fault-injection")]
     pub fault_plan: Option<dance_guard::fault::FaultPlan>,
 }
 
 impl FleetOpts {
-    /// Defaults: 2 workers, 3 s leases, no chaos.
+    /// Defaults: 2 worker threads, 3 s leases, no chaos.
     #[must_use]
     pub fn new(dir: PathBuf) -> Self {
         Self {
@@ -64,6 +77,8 @@ impl FleetOpts {
             workers: 2,
             lease_ttl_ms: 3_000,
             chaos: AttemptChaos::default(),
+            worker_exe: None,
+            chaos_kill_after_ms: None,
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
@@ -153,11 +168,15 @@ pub struct FleetCounts {
     pub done: usize,
     /// Jobs failed.
     pub failed: usize,
-    /// Leases reclaimed after expiry.
+    /// Leases reclaimed: expired, or lost with their child worker.
     pub reclaims: u64,
+    /// Chaos `SIGKILL`s delivered to child workers.
+    pub kills: u64,
     /// Results discarded by fencing (stale attempt finished late).
     pub fenced: u64,
-    /// Reclaim-to-redispatch latencies, fleet-clock milliseconds.
+    /// Recovery latencies, fleet-clock milliseconds: from a job's reclaim
+    /// to the next attempt's first renewed heartbeat, or to its result if
+    /// that comes first.
     pub recoveries_ms: Vec<u64>,
     /// Whether the fleet stopped accepting new jobs.
     pub draining: bool,
@@ -165,14 +184,37 @@ pub struct FleetCounts {
     pub workers: BTreeMap<String, WorkerHealth>,
 }
 
+impl FleetCounts {
+    /// The nearest-rank p95 recovery latency, if any recovery finished.
+    #[must_use]
+    pub fn recovery_p95_ms(&self) -> Option<u64> {
+        percentile(&self.recoveries_ms, 0.95)
+    }
+}
+
+/// Nearest-rank percentile over raw samples.
+fn percentile(samples: &[u64], q: f64) -> Option<u64> {
+    if samples.is_empty() {
+        return None;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    Some(sorted[rank - 1])
+}
+
 struct Core {
     ledger: Ledger,
     leases: LeaseTable,
     health: BTreeMap<String, WorkerHealth>,
-    /// Reclaim stamps awaiting re-dispatch, for the recovery histogram.
+    /// Running worker children by worker name: `(job, attempt, child)`.
+    children: BTreeMap<String, (String, u64, Child)>,
+    /// Reclaim stamps of jobs whose next attempt has not yet renewed or
+    /// reported, for the recovery histogram.
     reclaimed_at: BTreeMap<String, u64>,
     recoveries_ms: Vec<u64>,
     reclaims: u64,
+    kills: u64,
     fenced: u64,
     draining: bool,
     dirty: bool,
@@ -191,6 +233,8 @@ struct Shared {
     shutdown: AtomicBool,
     ckpt_root: PathBuf,
     chaos: AttemptChaos,
+    worker_exe: Option<PathBuf>,
+    chaos_kill_after_ms: Option<u64>,
 }
 
 impl Shared {
@@ -265,9 +309,11 @@ impl Fleet {
                 ledger,
                 leases: LeaseTable::new(opts.lease_ttl_ms),
                 health,
+                children: BTreeMap::new(),
                 reclaimed_at: BTreeMap::new(),
                 recoveries_ms: Vec::new(),
                 reclaims: 0,
+                kills: 0,
                 fenced: 0,
                 draining: false,
                 dirty: false,
@@ -278,6 +324,8 @@ impl Fleet {
             shutdown: AtomicBool::new(false),
             ckpt_root,
             chaos: opts.chaos,
+            worker_exe: opts.worker_exe,
+            chaos_kill_after_ms: opts.chaos_kill_after_ms,
         });
         let mut threads = Vec::with_capacity(workers + 1);
         for w in 0..workers {
@@ -375,6 +423,7 @@ impl Fleet {
             done,
             failed,
             reclaims: core.reclaims,
+            kills: core.kills,
             fenced: core.fenced,
             recoveries_ms: core.recoveries_ms.clone(),
             draining: core.draining,
@@ -452,11 +501,6 @@ fn claim_next(shared: &Shared, worker: &str) -> Option<(String, JobSpec, u64)> {
         (rec.spec, rec.attempt)
     };
     core.leases.grant(&id, worker, attempt, now);
-    if let Some(t0) = core.reclaimed_at.remove(&id) {
-        let latency = now.saturating_sub(t0);
-        core.recoveries_ms.push(latency);
-        dance_telemetry::histogram!("fleet.recovery_ms", latency as f64);
-    }
     if let Some(h) = core.health.get_mut(worker) {
         h.state = "busy".to_string();
         h.job = Some(id.clone());
@@ -491,42 +535,65 @@ fn worker_loop(shared: &Shared, worker: &str) {
     }
 }
 
-/// Runs one attempt end to end: heartbeat-renewing observer, chaos
-/// script on first attempts, fencing-checked completion.
+/// How an attempt ended, as far as the supervisor can tell.
+enum Ending {
+    /// The search finished.
+    Done {
+        /// `arch-digest` of the final architecture probabilities.
+        digest: u64,
+        /// Epochs the search ran.
+        epochs: u64,
+    },
+    /// The attempt reported a failure.
+    Failed(String),
+    /// The child worker went away without a result: reclaim now.
+    Died,
+    /// The attempt was killed in-process or gave up after a refused
+    /// renewal: its lease, if still live, is left to expire.
+    Vanished,
+}
+
+/// Runs one attempt on the configured transport, then settles it.
 fn execute_attempt(shared: &Shared, worker: &str, id: &str, spec: JobSpec, attempt: u64) {
-    let ckpt_dir = shared.ckpt_root.join(id);
-    let resume = attempt > 1;
-    let chaos = if attempt == 1 {
-        shared.chaos
-    } else {
-        AttemptChaos::default()
+    let args = WorkerArgs {
+        spec,
+        ckpt: shared.ckpt_root.join(id),
+        resume: attempt > 1,
+        chaos: if attempt == 1 {
+            shared.chaos
+        } else {
+            AttemptChaos::default()
+        },
     };
+    let ending = match &shared.worker_exe {
+        Some(exe) => run_child(shared, exe, worker, id, attempt, &args),
+        None => run_in_thread(shared, worker, id, attempt, &args),
+    };
+    finish(shared, worker, id, attempt, ending);
+}
+
+/// Runs the attempt on this thread, applying its chaos script here.
+fn run_in_thread(
+    shared: &Shared,
+    worker: &str,
+    id: &str,
+    attempt: u64,
+    args: &WorkerArgs,
+) -> Ending {
+    let chaos = args.chaos;
     let mut stalled = false;
     let result = catch_unwind(AssertUnwindSafe(|| {
-        run_job(&spec, &ckpt_dir, resume, &mut |epoch| {
+        run_job(&args.spec, &args.ckpt, args.resume, &mut |epoch| {
             if let Some(ms) = chaos.slow_ms {
                 std::thread::sleep(Duration::from_millis(ms));
             }
             if chaos.stall_from.is_some_and(|s| epoch >= s) {
                 stalled = true;
             }
-            if !stalled {
-                let now = shared.now_ms();
-                let renewed = {
-                    let mut core = shared.core();
-                    let renewed = core.leases.renew(id, worker, attempt, now);
-                    if renewed {
-                        if let Some(h) = core.health.get_mut(worker) {
-                            h.last_beat_ms = now;
-                        }
-                    }
-                    renewed
-                };
-                if !renewed {
-                    // Fenced off: the lease expired and the job belongs to
-                    // someone else now. Abandon the attempt.
-                    panic!("{FLEET_FENCED}");
-                }
+            if !stalled && !renew(shared, worker, id, attempt) {
+                // Fenced off: the lease expired and the job belongs to
+                // someone else now. Abandon the attempt.
+                panic!("{FLEET_FENCED}");
             }
             if chaos.kill_after == Some(epoch) {
                 // The in-process stand-in for SIGKILL: vanish without
@@ -535,50 +602,153 @@ fn execute_attempt(shared: &Shared, worker: &str, id: &str, spec: JobSpec, attem
             }
         })
     }));
-    let mut core = shared.core();
-    if let Some(h) = core.health.get_mut(worker) {
-        h.state = "idle".to_string();
-        h.job = None;
-    }
     match result {
-        Ok(out) => {
-            // A stalled worker cannot reach the supervisor at all — its
-            // finished result dies with it, exactly like a late release
-            // from a fenced attempt.
-            if !stalled && core.leases.release(id, worker, attempt) {
-                if let Some(rec) = core.ledger.jobs.get_mut(id) {
-                    rec.status = JobStatus::Done {
-                        digest: out.digest,
-                        epochs: out.epochs,
-                    };
-                }
-                if let Some(h) = core.health.get_mut(worker) {
-                    h.done += 1;
-                }
-                core.dirty = true;
-                dance_telemetry::counter!("fleet.jobs.done");
-            } else {
-                core.fenced += 1;
-                dance_telemetry::counter!("fleet.result.fenced");
-            }
-        }
+        Ok(out) => Ending::Done {
+            digest: out.digest,
+            epochs: out.epochs,
+        },
         Err(panic) => {
             let msg = panic_message(panic.as_ref());
             if msg == FLEET_KILL || msg == FLEET_FENCED {
-                // Killed: leave the lease to expire (that *is* the drill).
-                // Fenced: the supervisor already reverted the job.
-            } else if core.leases.release(id, worker, attempt) {
-                if let Some(rec) = core.ledger.jobs.get_mut(id) {
-                    rec.status = JobStatus::Failed { error: msg };
-                }
-                core.dirty = true;
-                dance_telemetry::counter!("fleet.jobs.failed");
+                Ending::Vanished
+            } else {
+                Ending::Failed(msg)
             }
         }
     }
 }
 
+/// Runs the attempt as an `<exe> --worker …` child and feeds its lines to
+/// the same renewal step a thread attempt takes. The child applies its own
+/// chaos script, passed on its command line.
+fn run_child(
+    shared: &Shared,
+    exe: &Path,
+    worker: &str,
+    id: &str,
+    attempt: u64,
+    args: &WorkerArgs,
+) -> Ending {
+    let mut child = match spawn_worker(exe, args) {
+        Ok(child) => child,
+        Err(e) => return Ending::Failed(format!("cannot spawn {}: {e}", exe.display())),
+    };
+    let stdout = child.stdout.take().expect("stdout was piped");
+    shared
+        .core()
+        .children
+        .insert(worker.to_string(), (id.to_string(), attempt, child));
+    let mut lines = BufReader::new(stdout).lines();
+    let ending = loop {
+        let Some(Ok(line)) = lines.next() else {
+            break Ending::Died;
+        };
+        match parse_event(&line, id) {
+            // Fenced off: stop listening; the child is killed below.
+            Some(WorkerEvent::Beat) if !renew(shared, worker, id, attempt) => break Ending::Died,
+            Some(WorkerEvent::Done { digest, epochs }) => break Ending::Done { digest, epochs },
+            Some(WorkerEvent::Failed(error)) => break Ending::Failed(error),
+            Some(WorkerEvent::Beat) | None => {}
+        }
+    };
+    // Take the child out of its slot as soon as it has a result, so a
+    // chaos kill cannot land on a finished attempt, and before reaping it,
+    // so the wait holds no lock. The kill stops a fenced child; after a
+    // result it only cuts short an exit already under way.
+    let child = shared.core().children.remove(worker);
+    if let Some((_, _, mut child)) = child {
+        let _unused = child.kill();
+        let _unused = child.wait();
+    }
+    ending
+}
+
+/// Renews `worker`'s lease on `id` for `attempt`; `false` means the
+/// attempt is fenced off. The first renewal after a reclaim stops the
+/// job's recovery timer.
+fn renew(shared: &Shared, worker: &str, id: &str, attempt: u64) -> bool {
+    let now = shared.now_ms();
+    let mut core = shared.core();
+    if !core.leases.renew(id, worker, attempt, now) {
+        return false;
+    }
+    if let Some(h) = core.health.get_mut(worker) {
+        h.last_beat_ms = now;
+    }
+    core.recovered(id, now);
+    true
+}
+
+/// Settles one attempt. A result commits only while the attempt still
+/// holds its lease; otherwise it is stale and fenced off.
+fn finish(shared: &Shared, worker: &str, id: &str, attempt: u64, ending: Ending) {
+    let now = shared.now_ms();
+    let mut core = shared.core();
+    if let Some(h) = core.health.get_mut(worker) {
+        h.state = "idle".to_string();
+        h.job = None;
+    }
+    let status = match ending {
+        Ending::Done { digest, epochs } => JobStatus::Done { digest, epochs },
+        Ending::Failed(error) => JobStatus::Failed { error },
+        Ending::Died => {
+            if core.leases.release(id, worker, attempt) {
+                core.reclaim(id, now);
+            }
+            return;
+        }
+        Ending::Vanished => return,
+    };
+    if !core.leases.release(id, worker, attempt) {
+        core.fenced += 1;
+        dance_telemetry::counter!("fleet.result.fenced");
+        return;
+    }
+    if matches!(status, JobStatus::Done { .. }) {
+        if let Some(h) = core.health.get_mut(worker) {
+            h.done += 1;
+        }
+        dance_telemetry::counter!("fleet.jobs.done");
+    } else {
+        dance_telemetry::counter!("fleet.jobs.failed");
+    }
+    core.recovered(id, now);
+    if let Some(rec) = core.ledger.jobs.get_mut(id) {
+        rec.status = status;
+    }
+    core.dirty = true;
+}
+
+impl Core {
+    /// Reverts a job whose lease is gone to pending and starts its
+    /// recovery timer, unless one is already running.
+    fn reclaim(&mut self, job: &str, now: u64) {
+        self.reclaims += 1;
+        dance_telemetry::counter!("fleet.lease.reclaimed");
+        if let Some(rec) = self.ledger.jobs.get_mut(job) {
+            if matches!(rec.status, JobStatus::Leased { .. }) {
+                rec.status = JobStatus::Pending;
+            }
+        }
+        self.reclaimed_at.entry(job.to_string()).or_insert(now);
+        self.dirty = true;
+    }
+
+    /// Stops `job`'s recovery timer, if one is running.
+    fn recovered(&mut self, job: &str, now: u64) {
+        if let Some(t0) = self.reclaimed_at.remove(job) {
+            let latency = now.saturating_sub(t0);
+            self.recoveries_ms.push(latency);
+            dance_telemetry::histogram!("fleet.recovery_ms", latency as f64);
+        }
+    }
+}
+
+/// The lease sweep: reclaims expired leases, SIGKILLs the child of each
+/// (a child that stopped heartbeating may still be computing) and delivers
+/// the one-shot chaos kill.
 fn supervisor_loop(shared: &Shared) {
+    let mut chaos_kill_at = shared.chaos_kill_after_ms;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -586,22 +756,28 @@ fn supervisor_loop(shared: &Shared) {
         std::thread::sleep(Duration::from_millis(25));
         let now = shared.now_ms();
         {
-            let mut core = shared.core();
+            let mut guard = shared.core();
+            let core = &mut *guard;
             let expired = core.leases.expire(now);
             for (job, lease) in expired {
-                core.reclaims += 1;
-                dance_telemetry::counter!("fleet.lease.reclaimed");
-                if let Some(rec) = core.ledger.jobs.get_mut(&job) {
-                    if matches!(rec.status, JobStatus::Leased { .. }) {
-                        rec.status = JobStatus::Pending;
+                if let Some((held, attempt, child)) = core.children.get_mut(&lease.worker) {
+                    if *held == job && *attempt == lease.attempt {
+                        let _unused = child.kill();
                     }
                 }
-                core.reclaimed_at.insert(job, now);
+                core.reclaim(&job, now);
                 if let Some(h) = core.health.get_mut(&lease.worker) {
                     h.state = "suspect".to_string();
                     h.job = None;
                 }
-                core.dirty = true;
+            }
+            if chaos_kill_at.is_some_and(|at| now >= at) {
+                if let Some((_, _, child)) = core.children.values_mut().next() {
+                    let _unused = child.kill();
+                    core.kills += 1;
+                    dance_telemetry::counter!("fleet.chaos.kills");
+                    chaos_kill_at = None;
+                }
             }
         }
         shared.persist();
@@ -611,6 +787,17 @@ fn supervisor_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile(&[], 0.95), None);
+        assert_eq!(percentile(&[7], 0.95), Some(7));
+        let samples: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&samples, 0.95), Some(95));
+        assert_eq!(percentile(&samples, 0.5), Some(50));
+        let unsorted = [30u64, 10, 20];
+        assert_eq!(percentile(&unsorted, 1.0), Some(30));
+    }
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dance_fleet_{name}_{}", std::process::id()));
@@ -718,6 +905,22 @@ mod tests {
         let view = fleet.status(&id).expect("recovered job");
         assert_eq!(view.state, "done");
         assert_eq!(view.digest, Some(digest));
+        fleet.shutdown();
+        let _cleanup = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unspawnable_worker_fails_its_job_not_the_fleet() {
+        let dir = tmp_dir("sup_spawn");
+        let mut opts = FleetOpts::new(dir.clone()).with_workers(1);
+        opts.worker_exe = Some(dir.join("no-such-worker"));
+        let fleet = Fleet::start(opts).expect("start");
+        let (id, _) = fleet.submit(JobSpec::new(2, 16, 1, 0.1)).expect("submit");
+        assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
+        let view = fleet.status(&id).expect("status");
+        assert_eq!(view.state, "failed");
+        let error = view.error.expect("failed job has a cause");
+        assert!(error.contains("cannot spawn"), "{error}");
         fleet.shutdown();
         let _cleanup = std::fs::remove_dir_all(&dir);
     }

@@ -191,7 +191,7 @@ impl WorkerArgs {
     }
 
     /// Renders this invocation back into child-process arguments —
-    /// the inverse of [`WorkerArgs::parse`], used by the process driver.
+    /// the inverse of [`WorkerArgs::parse`], used to spawn a worker child.
     #[must_use]
     pub fn to_argv(&self) -> Vec<String> {
         let mut argv = vec![

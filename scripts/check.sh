@@ -88,6 +88,7 @@ cargo test -q --release --test torn_plan
 echo "== fleet suite =="
 cargo test -q --release -p dance-fleet
 cargo test -q --release --test fleet_recovery
+cargo test -q --release --test fleet_process
 cargo test -q --release --test torn_checkpoint
 cargo test -q --release --features fault-injection --test fleet_faults
 

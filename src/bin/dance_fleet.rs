@@ -10,8 +10,9 @@
 //!
 //! The supervisor submits one job per seed (idempotent — the job id is the
 //! spec digest, so rerunning over the same `--dir` resumes the ledger
-//! instead of duplicating jobs), dispatches to `--workers` child
-//! processes, and reclaims expired leases. A reclaimed job's next attempt
+//! instead of duplicating jobs), runs each attempt as a child process on
+//! one of `--workers` worker threads, and reclaims the lease of a child
+//! that dies or stops heartbeating. A reclaimed job's next attempt
 //! resumes from the last durable checkpoint and reproduces the
 //! uninterrupted run's digest bit-for-bit.
 //!
@@ -28,11 +29,13 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
-use dance_fleet::prelude::{run_process_fleet, JobSpec, ProcessFleetConfig};
+use dance_fleet::prelude::{run_fleet, FleetOpts, JobSpec};
 
 struct Args {
-    cfg: ProcessFleetConfig,
+    opts: FleetOpts,
+    specs: Vec<JobSpec>,
 }
 
 fn usage() -> ! {
@@ -103,11 +106,11 @@ fn parse_args(argv: &[String]) -> Args {
         .iter()
         .map(|seed| JobSpec::new(epochs, batch, *seed, lambda2))
         .collect();
-    let mut cfg = ProcessFleetConfig::new(dir, specs);
-    cfg.workers = workers.clamp(1, 16);
-    cfg.lease_ttl_ms = lease_ttl_ms;
-    cfg.chaos_kill_after_ms = chaos_kill_ms;
-    Args { cfg }
+    let mut opts = FleetOpts::new(dir)
+        .with_workers(workers.clamp(1, 16))
+        .with_lease_ttl_ms(lease_ttl_ms);
+    opts.chaos_kill_after_ms = chaos_kill_ms;
+    Args { opts, specs }
 }
 
 fn main() -> ExitCode {
@@ -117,16 +120,18 @@ fn main() -> ExitCode {
     if argv.first().map(String::as_str) == Some("--worker") {
         return ExitCode::from(dance_fleet::prelude::worker_main(&argv[1..]) as u8);
     }
-    let args = parse_args(&argv);
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
+    let mut args = parse_args(&argv);
+    match std::env::current_exe() {
+        Ok(exe) => args.opts.worker_exe = Some(exe),
         Err(e) => {
             eprintln!("cannot locate own executable: {e}");
             return ExitCode::FAILURE;
         }
-    };
-    let report = match run_process_fleet(&exe, &args.cfg) {
-        Ok(r) => r,
+    }
+    let workers = args.opts.workers;
+    let started = Instant::now();
+    let (counts, jobs) = match run_fleet(args.opts, &args.specs) {
+        Ok(out) => out,
         Err(e) => {
             eprintln!("fleet failed: {e}");
             return ExitCode::FAILURE;
@@ -134,29 +139,34 @@ fn main() -> ExitCode {
     };
     // Sorted, greppable digest lines — the chaos-drill gate compares these
     // between a clean run and a kill-one-worker run.
-    for (job, digest) in &report.digests {
-        println!("job {job} arch-digest: {digest:016x}");
+    for job in &jobs {
+        if let Some(digest) = job.digest {
+            println!("job {} arch-digest: {digest:016x}", job.id);
+        }
     }
-    for (job, error) in &report.failures {
-        println!("job {job} failed: {error}");
+    for job in &jobs {
+        if let Some(error) = &job.error {
+            println!("job {} failed: {error}", job.id);
+        }
     }
     println!(
         "fleet: {} done, {} failed over {:.2}s ({} workers, {} reclaims, {} kills, {} fenced)",
-        report.digests.len(),
-        report.failures.len(),
-        report.wall_ms as f64 / 1000.0,
-        args.cfg.workers,
-        report.reclaims,
-        report.kills,
-        report.fenced,
+        counts.done,
+        counts.failed,
+        started.elapsed().as_secs_f64(),
+        workers,
+        counts.reclaims,
+        counts.kills,
+        counts.fenced,
     );
-    if let Some(p95) = report.recovery_p95_ms() {
+    if let Some(p95) = counts.recovery_p95_ms() {
         println!(
-            "recovery: {} reclaim(s), p95 {p95}ms from lease expiry to re-dispatch",
-            report.recoveries_ms.len()
+            "recovery: {} sample(s), p95 {p95}ms from reclaim to the next attempt's first \
+             heartbeat or result",
+            counts.recoveries_ms.len()
         );
     }
-    if report.failures.is_empty() {
+    if counts.failed == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,4 +1,4 @@
-//! `fleet_bench` — chaos-drill benchmark for the process fleet; writes
+//! `fleet_bench` — chaos-drill benchmark for a fleet of worker processes; writes
 //! `BENCH_fleet.json`.
 //!
 //! ```text
@@ -11,15 +11,17 @@
 //! 1. **clean** — the fleet runs undisturbed; jobs/hour baseline.
 //! 2. **drill** — the same jobs in a fresh ledger, with one worker
 //!    SIGKILLed mid-run; jobs/hour under failure plus the recovery p95
-//!    (lease expiry → re-dispatch).
+//!    (reclaim → the next attempt's first heartbeat or result; `null`
+//!    when nothing was reclaimed).
 //! 3. **reference** — every job re-run single-worker, no chaos; the drill
 //!    digests must match these bit-for-bit (`fleet.digest_match` gauge).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Instant;
 
 use dance_bench::bench_run;
-use dance_fleet::prelude::{run_process_fleet, JobSpec, ProcessFleetConfig, ProcessReport};
+use dance_fleet::prelude::{run_fleet, FleetCounts, FleetOpts, JobSpec};
 
 struct BenchArgs {
     jobs: usize,
@@ -81,29 +83,45 @@ fn specs(args: &BenchArgs) -> Vec<JobSpec> {
         .collect()
 }
 
+/// One finished phase: final counts, each job's digest (`None` unless
+/// done) in job-id order, and wall time.
+struct Phase {
+    counts: FleetCounts,
+    digests: Vec<(String, Option<u64>)>,
+    wall_ms: u64,
+}
+
 fn run_phase(
     exe: &Path,
     args: &BenchArgs,
     phase: &str,
     workers: usize,
     chaos_kill_after_ms: Option<u64>,
-) -> Option<ProcessReport> {
-    let mut cfg = ProcessFleetConfig::new(args.dir.join(phase), specs(args));
-    cfg.workers = workers;
-    cfg.chaos_kill_after_ms = chaos_kill_after_ms;
+) -> Option<Phase> {
     // Short leases so a killed worker's job is reclaimed quickly; epochs
     // (and therefore heartbeats) on the tiny benchmark run well under this.
-    cfg.lease_ttl_ms = 2500;
-    match run_process_fleet(exe, &cfg) {
-        Ok(report) => {
+    let mut opts = FleetOpts::new(args.dir.join(phase))
+        .with_workers(workers)
+        .with_lease_ttl_ms(2500);
+    opts.worker_exe = Some(exe.to_path_buf());
+    opts.chaos_kill_after_ms = chaos_kill_after_ms;
+    let started = Instant::now();
+    match run_fleet(opts, &specs(args)) {
+        Ok((counts, jobs)) => {
+            let wall_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
             eprintln!(
                 "{phase}: {} done, {} failed, {} reclaims in {:.2}s",
-                report.digests.len(),
-                report.failures.len(),
-                report.reclaims,
-                report.wall_ms as f64 / 1000.0
+                counts.done,
+                counts.failed,
+                counts.reclaims,
+                wall_ms as f64 / 1000.0
             );
-            Some(report)
+            let digests = jobs.into_iter().map(|j| (j.id, j.digest)).collect();
+            Some(Phase {
+                counts,
+                digests,
+                wall_ms,
+            })
         }
         Err(e) => {
             eprintln!("{phase} phase failed: {e}");
@@ -112,8 +130,8 @@ fn run_phase(
     }
 }
 
-fn jobs_per_hour(report: &ProcessReport) -> f64 {
-    report.digests.len() as f64 * 3_600_000.0 / (report.wall_ms.max(1) as f64)
+fn jobs_per_hour(phase: &Phase) -> f64 {
+    phase.counts.done as f64 * 3_600_000.0 / (phase.wall_ms.max(1) as f64)
 }
 
 fn run_bench(exe: &Path, args: &BenchArgs) {
@@ -131,26 +149,28 @@ fn run_bench(exe: &Path, args: &BenchArgs) {
     let Some(reference) = run_phase(exe, args, "reference", 1, None) else {
         return;
     };
-    let digests_match = drill.digests == reference.digests && drill.failures.is_empty();
+    let digests_match = drill.digests == reference.digests && drill.counts.failed == 0;
+    let recovery_p95 = drill.counts.recovery_p95_ms();
     dance_telemetry::gauge!("fleet.jobs", args.jobs as f64);
     dance_telemetry::gauge!("fleet.workers", args.workers as f64);
     dance_telemetry::gauge!("fleet.jobs_per_hour_clean", jobs_per_hour(&clean));
     dance_telemetry::gauge!("fleet.jobs_per_hour_drill", jobs_per_hour(&drill));
-    dance_telemetry::gauge!("fleet.kills", drill.kills as f64);
-    dance_telemetry::gauge!("fleet.reclaims", drill.reclaims as f64);
+    dance_telemetry::gauge!("fleet.kills", drill.counts.kills as f64);
+    dance_telemetry::gauge!("fleet.reclaims", drill.counts.reclaims as f64);
+    // No samples is written as NaN, which the BENCH file renders as null.
     dance_telemetry::gauge!(
         "fleet.recovery_p95_ms",
-        drill.recovery_p95_ms().unwrap_or(0) as f64
+        recovery_p95.map_or(f64::NAN, |ms| ms as f64)
     );
     dance_telemetry::gauge!("fleet.digest_match", if digests_match { 1.0 } else { 0.0 });
     println!(
         "fleet_bench: clean {:.0} jobs/h, drill {:.0} jobs/h ({} kill(s), {} reclaim(s), \
-         recovery p95 {}ms), digests {} the single-worker reference",
+         recovery p95 {}), digests {} the single-worker reference",
         jobs_per_hour(&clean),
         jobs_per_hour(&drill),
-        drill.kills,
-        drill.reclaims,
-        drill.recovery_p95_ms().unwrap_or(0),
+        drill.counts.kills,
+        drill.counts.reclaims,
+        recovery_p95.map_or("none".to_string(), |ms| format!("{ms}ms")),
         if digests_match {
             "match"
         } else {

@@ -1,12 +1,13 @@
-//! Fleet chaos drills, in-process pool, no special features: killed,
-//! stalled and slow attempts must all land on the straight run's
+//! Fleet chaos drills over the thread transport, no special features:
+//! killed, stalled and slow attempts must all land on the straight run's
 //! `arch-digest` bit-for-bit, with leases reclaimed (or deliberately NOT
 //! reclaimed) exactly as the lease state machine promises.
 //!
-//! Process-level drills (SIGKILL of a real worker process) live in the
-//! `dance_fleet` / `fleet_bench` binaries and `scripts/check.sh`; these
-//! tests drive the same supervisor through the thread pool, where chaos is
-//! scripted per attempt instead of delivered by the OS.
+//! Here each attempt runs on its worker thread and chaos is scripted per
+//! attempt. `tests/fleet_process.rs` drives the same supervisor over the
+//! child-process transport, where a kill is a real process exit and the
+//! sweep SIGKILLs a wedged child; `scripts/check.sh` adds the SIGKILL drill
+//! through the `dance_fleet` binary.
 
 use std::path::PathBuf;
 use std::time::Duration;
