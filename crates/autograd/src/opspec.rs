@@ -1,7 +1,7 @@
-//! Declarative op metadata: the registry [`GraphLint`-style] passes use to
+//! Declarative op metadata: the registry `dance-analyze`'s graph lints use to
 //! verify a built tape *before* training starts.
 //!
-//! Every interior node created through [`crate::var::Var::from_op`] records
+//! Every interior node created through `Var::from_op` records
 //! the `&'static str` name of the op that produced it. This module maps each
 //! name to an [`OpSpec`]: its arity, whether gradients flow through it, and a
 //! symbolic *shape rule* that re-derives the legal output shape from the

@@ -20,7 +20,7 @@
 //! digests, serve cache byte-replay, or seed-tuned test expectations.
 //!
 //! Service threads elsewhere in the workspace (serve's predict collector and
-//! search-job workers) are spawned through [`spawn_service`] so thread
+//! the fleet's search workers) are spawned through [`spawn_service`] so thread
 //! creation stays auditable in one place (the `raw-spawn` source-lint rule
 //! enforces this).
 

@@ -7,7 +7,7 @@
 //! * **Alignment.** Logical data starts on a 32-byte boundary (one AVX2
 //!   vector, two NEON vectors) whenever the buffer was allocated by this
 //!   module. The workspace forbids `unsafe`, so alignment is achieved by
-//!   over-allocating [`PAD`] extra elements and offsetting the logical
+//!   over-allocating `PAD` extra elements and offsetting the logical
 //!   window to the first aligned element — no custom allocator required.
 //! * **Recycling.** Dropping a `Storage` returns its buffer to a
 //!   thread-local free list keyed by logical length. The next
@@ -124,7 +124,7 @@ fn note_alloc(reused: bool) {
 /// Pushes this thread's accumulated `arena.reuse` / `arena.fresh` counts
 /// into the telemetry counter registry and resets the local tallies'
 /// pending flush window. Cheap to call once per step or before a metrics
-/// dump; the hot path batches [`FLUSH_EVERY`] events between flushes.
+/// dump; the hot path batches `FLUSH_EVERY` events between flushes.
 pub fn flush_metrics() {
     let reuse = REUSE.with(Cell::take);
     let fresh = FRESH.with(Cell::take);

@@ -16,13 +16,16 @@
 //! silently round anything past 2⁵³, which would break the bit-for-bit
 //! handoff guarantee. A `Leased` record loads back as `Pending` — a lease
 //! is an in-memory claim on a live worker, and no worker from a previous
-//! incarnation is still alive.
+//! incarnation is still alive. Fields added after version 1 shipped
+//! (`penalty`, and every [`JobResult`] field but `digest` and `ran`) are
+//! optional on parse, so a ledger written before them still loads.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use dance_guard::checkpoint::atomic_write_text;
+use dance_guard::GuardReport;
 use dance_telemetry::json::{self, push_escaped, push_num, Json};
 
 /// Ledger schema version accepted and emitted by this build.
@@ -44,10 +47,17 @@ pub struct JobSpec {
     pub seed: u64,
     /// `f32::to_bits` of the λ₂ hardware-penalty weight.
     pub lambda2_bits: u32,
+    /// Whether the loss carries the FLOPs penalty; `false` searches for
+    /// accuracy alone.
+    pub flops_penalty: bool,
 }
 
+/// The word [`JobSpec::digest`] folds in for a spec without the FLOPs
+/// penalty.
+const NO_PENALTY_WORD: u64 = 0x6e6f_2d70_656e_616c;
+
 impl JobSpec {
-    /// Builds a spec from plain values.
+    /// Builds a spec from plain values, with the FLOPs penalty on.
     #[must_use]
     pub fn new(epochs: u64, batch: u64, seed: u64, lambda2: f32) -> Self {
         Self {
@@ -55,6 +65,7 @@ impl JobSpec {
             batch,
             seed,
             lambda2_bits: lambda2.to_bits(),
+            flops_penalty: true,
         }
     }
 
@@ -65,26 +76,120 @@ impl JobSpec {
     }
 
     /// FNV-1a digest over the spec fields — the idempotency key: two
-    /// submissions with the same spec are the same job.
+    /// submissions with the same spec are the same job. The penalty is
+    /// folded in only when it is off, so a penalised spec keeps the id it
+    /// had before the field existed.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut d: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in [
+        let fold = |d: u64, word: u64| (d ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        let d = [
             self.epochs,
             self.batch,
             self.seed,
             u64::from(self.lambda2_bits),
-        ] {
-            d ^= word;
-            d = d.wrapping_mul(0x0000_0100_0000_01b3);
+        ]
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, fold);
+        if self.flops_penalty {
+            d
+        } else {
+            fold(d, NO_PENALTY_WORD)
         }
-        d
     }
 
     /// The job id derived from the spec digest (`fjob-<hex16>`).
     #[must_use]
     pub fn job_id(&self) -> String {
         format!("fjob-{:016x}", self.digest())
+    }
+}
+
+/// What a finished job produced: the one record
+/// [`crate::worker::run_job`] returns, a worker child's `done` line
+/// carries and the ledger stores, written by [`JobResult::render_fields`]
+/// and read back by [`JobResult::parse`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct JobResult {
+    /// `arch-digest` of the final architecture probabilities.
+    pub digest: u64,
+    /// Epochs recorded in the search history.
+    pub epochs: u64,
+    /// The derived architecture: one candidate index per slot.
+    pub choices: Vec<u8>,
+    /// `f32::to_bits` of the last epoch's architecture entropy.
+    pub final_entropy_bits: Option<u32>,
+    /// Guard report of the attempt that finished the job.
+    pub guard: GuardReport,
+}
+
+impl JobResult {
+    /// Appends the result as `,"key":value` pairs: `digest`, `ran`,
+    /// `choices`, `entropy` (when an epoch ran) and `guard`.
+    pub fn render_fields(&self, out: &mut String) {
+        out.push_str(",\"digest\":");
+        push_hex(out, self.digest);
+        out.push_str(",\"ran\":");
+        push_num(out, self.epochs as f64);
+        out.push_str(",\"choices\":[");
+        for (i, c) in self.choices.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_num(out, f64::from(*c));
+        }
+        out.push(']');
+        if let Some(bits) = self.final_entropy_bits {
+            out.push_str(",\"entropy\":");
+            push_hex(out, u64::from(bits));
+        }
+        let g = &self.guard;
+        out.push_str(&format!(
+            ",\"guard\":{{\"watchdog_trips\":{},\"rollbacks\":{},\"cost_model_degraded\":{},\
+             \"checkpoints_written\":{}",
+            g.watchdog_trips, g.rollbacks, g.cost_model_degraded, g.checkpoints_written
+        ));
+        if let Some(e) = g.resumed_from_epoch {
+            out.push_str(&format!(",\"resumed_from_epoch\":{e}"));
+        }
+        out.push('}');
+    }
+
+    /// Reads back what [`JobResult::render_fields`] wrote into `j`. Only
+    /// `digest` and `ran` are required: a record written before the other
+    /// fields existed loads with no choices, no entropy and an empty guard
+    /// report.
+    ///
+    /// # Errors
+    ///
+    /// Names the first missing or malformed field.
+    pub fn parse(j: &Json) -> Result<Self, String> {
+        let mut choices = Vec::new();
+        for c in j.get("choices").and_then(Json::as_arr).unwrap_or(&[]) {
+            let c = c.as_f64().filter(|c| (0.0..256.0).contains(c));
+            choices.push(c.ok_or("bad choices entry")? as u8);
+        }
+        let final_entropy_bits = j
+            .get("entropy")
+            .map(|_| get_hex32(j, "entropy"))
+            .transpose()?;
+        let guard = match j.get("guard") {
+            None => GuardReport::default(),
+            Some(g) => GuardReport {
+                watchdog_trips: get_num(g, "watchdog_trips")? as u32,
+                rollbacks: get_num(g, "rollbacks")? as u32,
+                cost_model_degraded: g.get("cost_model_degraded") == Some(&Json::Bool(true)),
+                resumed_from_epoch: get_num(g, "resumed_from_epoch").ok().map(|e| e as usize),
+                checkpoints_written: get_num(g, "checkpoints_written")? as u32,
+                aborted_by_fault: false,
+            },
+        };
+        Ok(Self {
+            digest: get_hex(j, "digest")?,
+            epochs: get_num(j, "ran")?,
+            choices,
+            final_entropy_bits,
+            guard,
+        })
     }
 }
 
@@ -99,12 +204,7 @@ pub enum JobStatus {
         worker: String,
     },
     /// Ran to completion; the result is final.
-    Done {
-        /// `arch-digest` of the final architecture probabilities.
-        digest: u64,
-        /// Epochs the search actually ran.
-        epochs: u64,
-    },
+    Done(JobResult),
     /// Exhausted its attempts or hit a non-recoverable error.
     Failed {
         /// Human-readable cause.
@@ -119,7 +219,7 @@ impl JobStatus {
         match self {
             JobStatus::Pending => "pending",
             JobStatus::Leased { .. } => "leased",
-            JobStatus::Done { .. } => "done",
+            JobStatus::Done(_) => "done",
             JobStatus::Failed { .. } => "failed",
         }
     }
@@ -185,7 +285,7 @@ impl Ledger {
             match r.status {
                 JobStatus::Pending => c.0 += 1,
                 JobStatus::Leased { .. } => c.1 += 1,
-                JobStatus::Done { .. } => c.2 += 1,
+                JobStatus::Done(_) => c.2 += 1,
                 JobStatus::Failed { .. } => c.3 += 1,
             }
         }
@@ -220,6 +320,9 @@ impl Ledger {
             push_hex(&mut out, r.spec.seed);
             out.push_str(",\"lambda2\":");
             push_hex(&mut out, u64::from(r.spec.lambda2_bits));
+            if !r.spec.flops_penalty {
+                out.push_str(",\"penalty\":\"none\"");
+            }
             out.push_str(",\"attempt\":");
             push_num(&mut out, r.attempt as f64);
             out.push_str(",\"status\":");
@@ -229,12 +332,7 @@ impl Ledger {
                     out.push_str(",\"worker\":");
                     push_escaped(&mut out, worker);
                 }
-                JobStatus::Done { digest, epochs } => {
-                    out.push_str(",\"digest\":");
-                    push_hex(&mut out, *digest);
-                    out.push_str(",\"ran\":");
-                    push_num(&mut out, *epochs as f64);
-                }
+                JobStatus::Done(result) => result.render_fields(&mut out),
                 JobStatus::Failed { error } => {
                     out.push_str(",\"error\":");
                     push_escaped(&mut out, error);
@@ -278,17 +376,14 @@ impl Ledger {
                 epochs: get_num(j, "epochs")?,
                 batch: get_num(j, "batch")?,
                 seed: get_hex(j, "seed")?,
-                lambda2_bits: u32::try_from(get_hex(j, "lambda2")?)
-                    .map_err(|_| "lambda2 out of range".to_string())?,
+                lambda2_bits: get_hex32(j, "lambda2")?,
+                flops_penalty: j.get("penalty").and_then(Json::as_str) != Some("none"),
             };
             let attempt = get_num(j, "attempt")?;
             let status = match j.get("status").and_then(Json::as_str) {
                 // A lease is an in-memory claim; reloads revert it.
                 Some("pending") | Some("leased") => JobStatus::Pending,
-                Some("done") => JobStatus::Done {
-                    digest: get_hex(j, "digest")?,
-                    epochs: get_num(j, "ran")?,
-                },
+                Some("done") => JobStatus::Done(JobResult::parse(j)?),
                 Some("failed") => JobStatus::Failed {
                     error: j
                         .get("error")
@@ -323,6 +418,10 @@ fn get_hex(j: &Json, key: &str) -> Result<u64, String> {
         .and_then(Json::as_str)
         .and_then(|s| u64::from_str_radix(s, 16).ok())
         .ok_or_else(|| format!("missing/bad hex field {key}"))
+}
+
+fn get_hex32(j: &Json, key: &str) -> Result<u32, String> {
+    u32::try_from(get_hex(j, key)?).map_err(|_| format!("{key} out of range"))
 }
 
 fn get_num(j: &Json, key: &str) -> Result<u64, String> {
@@ -487,10 +586,11 @@ mod tests {
         assert!(deduped2, "same spec dedups");
         let (id2, _) = l.submit(JobSpec::new(4, 32, 8, 0.1));
         assert_ne!(id, id2);
-        l.jobs.get_mut(&id).expect("job").status = JobStatus::Done {
+        l.jobs.get_mut(&id).expect("job").status = JobStatus::Done(JobResult {
             digest: 0xdead_beef_0102_0304,
             epochs: 4,
-        };
+            ..JobResult::default()
+        });
         l.jobs.get_mut(&id).expect("job").attempt = 2;
         l
     }
@@ -502,6 +602,79 @@ mod tests {
         let back = Ledger::parse(&text).expect("rendered ledger parses");
         assert_eq!(back, l);
         assert_eq!(back.render(), text);
+    }
+
+    #[test]
+    fn full_results_and_specs_without_the_penalty_round_trip() {
+        let mut l = Ledger::new();
+        let penalised = JobSpec::new(2, 32, 7, 0.1);
+        let plain = JobSpec {
+            flops_penalty: false,
+            ..penalised
+        };
+        let (id, _) = l.submit(penalised);
+        let (plain_id, deduped) = l.submit(plain);
+        assert!(!deduped, "the penalty is part of the job's identity");
+        assert_ne!(id, plain_id);
+        l.jobs.get_mut(&id).expect("job").status = JobStatus::Done(JobResult {
+            digest: 0x68ad_2158_7d07_401d,
+            epochs: 2,
+            choices: vec![5, 6, 4, 2, 6, 6, 2, 1, 2],
+            final_entropy_bits: Some(1.944_864_f32.to_bits()),
+            guard: GuardReport {
+                rollbacks: 1,
+                resumed_from_epoch: Some(1),
+                checkpoints_written: 2,
+                ..GuardReport::default()
+            },
+        });
+        let text = l.render();
+        let back = Ledger::parse(&text).expect("rendered ledger parses");
+        assert_eq!(back, l);
+        assert_eq!(back.render(), text);
+    }
+
+    #[test]
+    fn a_ledger_rendered_before_penalties_and_full_results_still_loads() {
+        // Written by the build before `penalty` and the result fields beyond
+        // `digest` and `ran` existed: one done, one failed, one pending job.
+        let text = concat!(
+            r#"{"v":1,"jobs":[{"id":"fjob-0f6aed756971ac7f","epochs":4,"batch":16,"#,
+            r#""seed":"0000000000000001","lambda2":"000000003e4ccccd","attempt":3,"#,
+            r#""status":"failed","error":"worker panicked"},"#,
+            r#"{"id":"fjob-5df6a14915339fff","epochs":2,"batch":32,"#,
+            r#""seed":"0000000000000007","lambda2":"000000003dcccccd","attempt":2,"#,
+            r#""status":"done","digest":"68ad21587d07401d","ran":2},"#,
+            r#"{"id":"fjob-7906a24f94a2d4d5","epochs":3,"batch":32,"#,
+            r#""seed":"0000000000000009","lambda2":"000000003e99999a","attempt":1,"#,
+            r#""status":"pending"}]}"#,
+        );
+        let l = Ledger::parse(text).expect("a version-1 ledger parses");
+        let attempts: Vec<(&str, u64)> = l
+            .jobs
+            .iter()
+            .map(|(id, r)| (id.as_str(), r.attempt))
+            .collect();
+        assert_eq!(
+            attempts,
+            [
+                ("fjob-0f6aed756971ac7f", 3),
+                ("fjob-5df6a14915339fff", 2),
+                ("fjob-7906a24f94a2d4d5", 1)
+            ]
+        );
+        assert!(l.jobs.values().all(|r| r.spec.flops_penalty));
+        let done = &l.jobs["fjob-5df6a14915339fff"];
+        assert_eq!(done.spec, JobSpec::new(2, 32, 7, 0.1));
+        assert_eq!(
+            done.status,
+            JobStatus::Done(JobResult {
+                digest: 0x68ad_2158_7d07_401d,
+                epochs: 2,
+                ..JobResult::default()
+            })
+        );
+        assert_eq!(l.jobs["fjob-7906a24f94a2d4d5"].status, JobStatus::Pending);
     }
 
     #[test]

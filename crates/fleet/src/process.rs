@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use dance_telemetry::json::{self, Json};
 
-use crate::ledger::JobSpec;
+use crate::ledger::{JobResult, JobSpec};
 use crate::supervisor::{Fleet, FleetCounts, FleetOpts, JobView};
 use crate::worker::WorkerArgs;
 
@@ -29,12 +29,7 @@ pub(crate) enum WorkerEvent {
     /// Heartbeat: another epoch's checkpoint is durable.
     Beat,
     /// The search finished.
-    Done {
-        /// `arch-digest` of the final architecture probabilities.
-        digest: u64,
-        /// Epochs the search ran.
-        epochs: u64,
-    },
+    Done(JobResult),
     /// The attempt failed with this cause.
     Failed(String),
 }
@@ -60,13 +55,7 @@ pub(crate) fn parse_event(line: &str, job: &str) -> Option<WorkerEvent> {
     }
     match doc.get("event").and_then(Json::as_str)? {
         "hb" => Some(WorkerEvent::Beat),
-        "done" => Some(WorkerEvent::Done {
-            digest: doc
-                .get("digest")
-                .and_then(Json::as_str)
-                .and_then(|s| u64::from_str_radix(s, 16).ok())?,
-            epochs: doc.get("epochs").and_then(Json::as_f64)? as u64,
-        }),
+        "done" => JobResult::parse(&doc).ok().map(WorkerEvent::Done),
         "failed" => Some(WorkerEvent::Failed(
             doc.get("error")
                 .and_then(Json::as_str)
@@ -81,7 +70,9 @@ pub(crate) fn parse_event(line: &str, job: &str) -> Option<WorkerEvent> {
 /// its ledger settles and shuts it down, returning the final counts and
 /// jobs. Resumable: an existing ledger under `opts.dir` is recovered first,
 /// finished jobs are not re-run, and interrupted ones resume from their
-/// checkpoints.
+/// checkpoints. Every spec is submitted before any job runs, so `opts`
+/// should leave [`FleetOpts::max_pending`] unbounded, as
+/// [`FleetOpts::new`] does.
 ///
 /// # Errors
 ///

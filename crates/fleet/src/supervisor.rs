@@ -3,16 +3,21 @@
 //!
 //! Each attempt runs on the worker thread that claimed it. Without
 //! [`FleetOpts::worker_exe`] (what `dance-serve` mounts behind its
-//! `fleet/*` endpoints and what the recovery tests drill) the thread calls
-//! [`crate::worker::run_job`] itself, and a "killed" worker is a thread
-//! that abandons its attempt without releasing the lease, so the sweep
-//! reclaims it on expiry. With `worker_exe` set (the `dance_fleet` binary
-//! and the SIGKILL drills) the thread spawns `<exe> --worker …` through
-//! [`crate::process`] and reads the child's lines instead: `hb` takes the
-//! same renewal step and `done`/`failed` the same fencing-checked
-//! completion as a thread attempt, pipe EOF without a result reclaims the
-//! lease at once, and the sweep SIGKILLs the child of any expired lease.
-//! Either way the next dispatch resumes from the last durable checkpoint.
+//! `search/*` and `fleet/*` endpoints and what the recovery tests drill)
+//! the thread calls [`crate::worker::run_job`] itself, and a "killed"
+//! worker is a thread that abandons its attempt without releasing the
+//! lease, so the sweep reclaims it on expiry. With `worker_exe` set (the
+//! `dance_fleet` binary and the SIGKILL drills) the thread spawns
+//! `<exe> --worker …` through [`crate::process`] and reads the child's
+//! lines instead: `hb` takes the same renewal step and `done`/`failed` the
+//! same fencing-checked completion as a thread attempt, pipe EOF without a
+//! result reclaims the lease at once, and the sweep SIGKILLs the child of
+//! any expired lease. Either way the next dispatch resumes from the last
+//! durable checkpoint.
+//!
+//! Submission is idempotent and bounded: a known spec always gets its job
+//! back, and a new one is refused with [`SubmitError::Full`] while
+//! [`FleetOpts::max_pending`] jobs wait.
 //!
 //! Locking follows the workspace single-lock rule: all mutable state,
 //! running children included, lives in one `Mutex<Core>` taken as a
@@ -31,9 +36,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use dance::prelude::{LambdaWarmup, SearchConfig};
+use dance_guard::GuardReport;
 
 use crate::lease::LeaseTable;
-use crate::ledger::{JobRecord, JobSpec, JobStatus, Ledger, LedgerStore};
+use crate::ledger::{JobRecord, JobResult, JobSpec, JobStatus, Ledger, LedgerStore};
 use crate::process::{parse_event, spawn_worker, WorkerEvent};
 use crate::worker::{panic_message, run_job, AttemptChaos, WorkerArgs};
 
@@ -53,6 +59,9 @@ pub struct FleetOpts {
     /// Lease TTL in milliseconds. Heartbeats are per-epoch, so this must
     /// comfortably exceed one epoch's wall time.
     pub lease_ttl_ms: u64,
+    /// New specs are refused while this many jobs wait for a worker.
+    /// `usize::MAX` (the default) never refuses.
+    pub max_pending: usize,
     /// Scripted misbehavior, applied to each job's *first* attempt only —
     /// re-dispatched attempts run clean, which is what lets a drill assert
     /// recovery instead of looping forever.
@@ -69,13 +78,14 @@ pub struct FleetOpts {
 }
 
 impl FleetOpts {
-    /// Defaults: 2 worker threads, 3 s leases, no chaos.
+    /// Defaults: 2 worker threads, 3 s leases, no pending bound, no chaos.
     #[must_use]
     pub fn new(dir: PathBuf) -> Self {
         Self {
             dir,
             workers: 2,
             lease_ttl_ms: 3_000,
+            max_pending: usize::MAX,
             chaos: AttemptChaos::default(),
             worker_exe: None,
             chaos_kill_after_ms: None,
@@ -98,6 +108,13 @@ impl FleetOpts {
         self
     }
 
+    /// Bounds the jobs waiting for a worker.
+    #[must_use]
+    pub fn with_max_pending(mut self, max_pending: usize) -> Self {
+        self.max_pending = max_pending;
+        self
+    }
+
     /// Scripts first-attempt chaos.
     #[must_use]
     pub fn with_chaos(mut self, chaos: AttemptChaos) -> Self {
@@ -113,6 +130,29 @@ impl FleetOpts {
         self
     }
 }
+
+/// Why [`Fleet::submit`] refused a new spec.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The spec fails search-config validation.
+    Invalid(String),
+    /// The fleet stopped accepting new jobs.
+    Draining,
+    /// [`FleetOpts::max_pending`] jobs already wait for a worker.
+    Full,
+}
+
+impl std::fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SubmitError::Invalid(msg) => write!(f, "invalid job spec: {msg}"),
+            SubmitError::Draining => f.write_str("fleet is draining"),
+            SubmitError::Full => f.write_str("fleet job queue full"),
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
 
 /// One worker's health as the supervisor sees it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,12 +189,18 @@ pub struct JobView {
     pub attempt: u64,
     /// Current lease holder, while leased.
     pub worker: Option<String>,
-    /// Final `arch-digest`, once done.
-    pub digest: Option<u64>,
-    /// Epochs the search ran, once done.
-    pub epochs: Option<u64>,
+    /// What the search produced, once done.
+    pub result: Option<JobResult>,
     /// Failure cause, if failed.
     pub error: Option<String>,
+}
+
+impl JobView {
+    /// Final `arch-digest`, once done.
+    #[must_use]
+    pub fn digest(&self) -> Option<u64> {
+        self.result.as_ref().map(|r| r.digest)
+    }
 }
 
 /// Snapshot of the whole fleet for health endpoints and drills.
@@ -182,6 +228,8 @@ pub struct FleetCounts {
     pub draining: bool,
     /// Per-worker health, keyed by worker name.
     pub workers: BTreeMap<String, WorkerHealth>,
+    /// The guard reports of every result this fleet committed, absorbed.
+    pub guard: GuardReport,
 }
 
 impl FleetCounts {
@@ -216,6 +264,7 @@ struct Core {
     reclaims: u64,
     kills: u64,
     fenced: u64,
+    guard: GuardReport,
     draining: bool,
     dirty: bool,
     save_seq: u64,
@@ -232,6 +281,7 @@ struct Shared {
     start: Instant,
     shutdown: AtomicBool,
     ckpt_root: PathBuf,
+    max_pending: usize,
     chaos: AttemptChaos,
     worker_exe: Option<PathBuf>,
     chaos_kill_after_ms: Option<u64>,
@@ -275,7 +325,8 @@ impl Shared {
 /// Handle to a running in-process fleet.
 pub struct Fleet {
     shared: Arc<Shared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    // Taken out whole by `shutdown`, so the joins hold no lock.
+    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Fleet {
@@ -315,6 +366,7 @@ impl Fleet {
                 reclaims: 0,
                 kills: 0,
                 fenced: 0,
+                guard: GuardReport::default(),
                 draining: false,
                 dirty: false,
                 save_seq: 0,
@@ -323,6 +375,7 @@ impl Fleet {
             start: Instant::now(),
             shutdown: AtomicBool::new(false),
             ckpt_root,
+            max_pending: opts.max_pending,
             chaos: opts.chaos,
             worker_exe: opts.worker_exe,
             chaos_kill_after_ms: opts.chaos_kill_after_ms,
@@ -342,18 +395,22 @@ impl Fleet {
                 supervisor_loop(&s);
             },
         )?);
-        Ok(Self { shared, threads })
+        Ok(Self {
+            shared,
+            threads: Mutex::new(threads),
+        })
     }
 
     /// Validates and submits a job. Submission is idempotent: the id is
     /// the spec digest, so re-submitting the same spec returns the
-    /// existing job with `deduped = true`.
+    /// existing job with `deduped = true`, even while draining or full.
     ///
     /// # Errors
     ///
-    /// Returns a description when the spec fails search-config validation
-    /// or the fleet is draining.
-    pub fn submit(&self, spec: JobSpec) -> Result<(String, bool), String> {
+    /// [`SubmitError::Invalid`] when the spec fails search-config
+    /// validation; for a new spec, [`SubmitError::Draining`] once the fleet
+    /// drains and [`SubmitError::Full`] while `max_pending` jobs wait.
+    pub fn submit(&self, spec: JobSpec) -> Result<(String, bool), SubmitError> {
         // Validate the whole search configuration up front so a bad spec
         // fails at submission, not inside a worker thread.
         SearchConfig::builder()
@@ -362,11 +419,18 @@ impl Fleet {
             .lambda2(LambdaWarmup::ramp(spec.lambda2(), 1))
             .seed(spec.seed)
             .build()
-            .map_err(|e| e.to_string())?;
+            .map_err(|e| SubmitError::Invalid(e.to_string()))?;
         let out = {
             let mut core = self.shared.core();
-            if core.draining {
-                return Err("fleet is draining".to_string());
+            if !core.ledger.jobs.contains_key(&spec.job_id()) {
+                if core.draining {
+                    return Err(SubmitError::Draining);
+                }
+                let (pending, ..) = core.ledger.counts();
+                if pending >= self.shared.max_pending {
+                    dance_telemetry::counter!("fleet.jobs.refused_full");
+                    return Err(SubmitError::Full);
+                }
             }
             let (id, deduped) = core.ledger.submit(spec);
             if !deduped {
@@ -428,6 +492,7 @@ impl Fleet {
             recoveries_ms: core.recoveries_ms.clone(),
             draining: core.draining,
             workers: core.health.clone(),
+            guard: core.guard.clone(),
         }
     }
 
@@ -442,13 +507,16 @@ impl Fleet {
             .collect()
     }
 
-    /// Stops the fleet: signals shutdown, joins every thread and persists
-    /// the final ledger state.
-    pub fn shutdown(mut self) {
+    /// Stops the fleet: signals shutdown, lets each running attempt
+    /// finish, joins every thread and persists the final ledger state.
+    /// Jobs still pending stay in the ledger for the next incarnation.
+    pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        let threads =
+            std::mem::take(&mut *self.threads.lock().unwrap_or_else(PoisonError::into_inner));
         // Joins happen with no lock held; worker threads only ever take
         // the core lock as a statement temporary.
-        for t in self.threads.drain(..) {
+        for t in threads {
             let _unused = t.join();
         }
         {
@@ -465,16 +533,12 @@ fn job_view(id: &str, r: &JobRecord) -> JobView {
         state: r.status.label().to_string(),
         attempt: r.attempt,
         worker: None,
-        digest: None,
-        epochs: None,
+        result: None,
         error: None,
     };
     match &r.status {
         JobStatus::Leased { worker } => v.worker = Some(worker.clone()),
-        JobStatus::Done { digest, epochs } => {
-            v.digest = Some(*digest);
-            v.epochs = Some(*epochs);
-        }
+        JobStatus::Done(result) => v.result = Some(result.clone()),
         JobStatus::Failed { error } => v.error = Some(error.clone()),
         JobStatus::Pending => {}
     }
@@ -538,12 +602,7 @@ fn worker_loop(shared: &Shared, worker: &str) {
 /// How an attempt ended, as far as the supervisor can tell.
 enum Ending {
     /// The search finished.
-    Done {
-        /// `arch-digest` of the final architecture probabilities.
-        digest: u64,
-        /// Epochs the search ran.
-        epochs: u64,
-    },
+    Done(JobResult),
     /// The attempt reported a failure.
     Failed(String),
     /// The child worker went away without a result: reclaim now.
@@ -603,10 +662,7 @@ fn run_in_thread(
         })
     }));
     match result {
-        Ok(out) => Ending::Done {
-            digest: out.digest,
-            epochs: out.epochs,
-        },
+        Ok(result) => Ending::Done(result),
         Err(panic) => {
             let msg = panic_message(panic.as_ref());
             if msg == FLEET_KILL || msg == FLEET_FENCED {
@@ -646,7 +702,7 @@ fn run_child(
         match parse_event(&line, id) {
             // Fenced off: stop listening; the child is killed below.
             Some(WorkerEvent::Beat) if !renew(shared, worker, id, attempt) => break Ending::Died,
-            Some(WorkerEvent::Done { digest, epochs }) => break Ending::Done { digest, epochs },
+            Some(WorkerEvent::Done(result)) => break Ending::Done(result),
             Some(WorkerEvent::Failed(error)) => break Ending::Failed(error),
             Some(WorkerEvent::Beat) | None => {}
         }
@@ -689,7 +745,7 @@ fn finish(shared: &Shared, worker: &str, id: &str, attempt: u64, ending: Ending)
         h.job = None;
     }
     let status = match ending {
-        Ending::Done { digest, epochs } => JobStatus::Done { digest, epochs },
+        Ending::Done(result) => JobStatus::Done(result),
         Ending::Failed(error) => JobStatus::Failed { error },
         Ending::Died => {
             if core.leases.release(id, worker, attempt) {
@@ -704,10 +760,11 @@ fn finish(shared: &Shared, worker: &str, id: &str, attempt: u64, ending: Ending)
         dance_telemetry::counter!("fleet.result.fenced");
         return;
     }
-    if matches!(status, JobStatus::Done { .. }) {
+    if let JobStatus::Done(result) = &status {
         if let Some(h) = core.health.get_mut(worker) {
             h.done += 1;
         }
+        core.guard.absorb(&result.guard);
         dance_telemetry::counter!("fleet.jobs.done");
     } else {
         dance_telemetry::counter!("fleet.jobs.failed");
@@ -828,7 +885,7 @@ mod tests {
             let view = fleet.status(id).expect("status");
             assert_eq!(view.state, "done", "job {id}: {:?}", view.error);
             let reference = run_job(&spec.clone(), &tmp_dir("sup_clean_ref"), false, &mut |_| {});
-            assert_eq!(view.digest, Some(reference.digest));
+            assert_eq!(view.digest(), Some(reference.digest));
         }
         let counts = fleet.counts();
         assert_eq!(counts.done, 2);
@@ -845,7 +902,7 @@ mod tests {
         let err = fleet
             .submit(JobSpec::new(2, 16, 1, 0.1))
             .expect_err("draining fleet must reject");
-        assert!(err.contains("draining"));
+        assert_eq!(err, SubmitError::Draining);
         assert!(fleet.counts().draining);
         fleet.shutdown();
         let _cleanup = std::fs::remove_dir_all(&dir);
@@ -875,7 +932,7 @@ mod tests {
         assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
         let view = fleet.status(&id).expect("status");
         assert_eq!(view.state, "done", "job: {:?}", view.error);
-        assert_eq!(view.digest, Some(straight.digest), "handoff is bit-exact");
+        assert_eq!(view.digest(), Some(straight.digest), "handoff is bit-exact");
         assert!(view.attempt >= 2, "job was re-dispatched");
         let counts = fleet.counts();
         assert!(counts.reclaims >= 1, "lease was reclaimed");
@@ -896,7 +953,7 @@ mod tests {
             let fleet = Fleet::start(FleetOpts::new(dir.clone()).with_workers(1)).expect("start");
             let (id, _) = fleet.submit(spec).expect("submit");
             assert!(fleet.wait_settled(DEADLINE));
-            let digest = fleet.status(&id).expect("status").digest.expect("digest");
+            let digest = fleet.status(&id).expect("status").digest().expect("digest");
             fleet.shutdown();
             (id, digest)
         };
@@ -904,7 +961,7 @@ mod tests {
         let fleet = Fleet::start(FleetOpts::new(dir.clone()).with_workers(1)).expect("restart");
         let view = fleet.status(&id).expect("recovered job");
         assert_eq!(view.state, "done");
-        assert_eq!(view.digest, Some(digest));
+        assert_eq!(view.digest(), Some(digest));
         fleet.shutdown();
         let _cleanup = std::fs::remove_dir_all(&dir);
     }
@@ -932,7 +989,35 @@ mod tests {
         let err = fleet
             .submit(JobSpec::new(2, 16, 1, f32::NAN))
             .expect_err("NaN lambda2 must be rejected");
-        assert!(!err.is_empty());
+        assert!(matches!(err, SubmitError::Invalid(_)), "{err:?}");
+        fleet.shutdown();
+        let _cleanup = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn full_fleet_refuses_new_specs_but_answers_known_ones() {
+        let dir = tmp_dir("sup_full");
+        let fleet = Fleet::start(
+            FleetOpts::new(dir.clone())
+                .with_workers(1)
+                .with_max_pending(1),
+        )
+        .expect("start");
+        let leased = JobSpec::new(8, 16, 1, 0.1);
+        let waiting = JobSpec::new(2, 16, 2, 0.1);
+        let (leased_id, _) = fleet.submit(leased).expect("first job");
+        let deadline = Instant::now() + DEADLINE;
+        while fleet.status(&leased_id).expect("status").state != "leased" {
+            assert!(Instant::now() < deadline, "first job never leased");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let (waiting_id, _) = fleet.submit(waiting).expect("second job waits");
+        assert_eq!(
+            fleet.submit(JobSpec::new(2, 16, 3, 0.1)),
+            Err(SubmitError::Full)
+        );
+        assert_eq!(fleet.submit(leased), Ok((leased_id, true)));
+        assert_eq!(fleet.submit(waiting), Ok((waiting_id, true)));
         fleet.shutdown();
         let _cleanup = std::fs::remove_dir_all(&dir);
     }

@@ -27,18 +27,7 @@ use dance::prelude::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::ledger::JobSpec;
-
-/// What one finished attempt reports back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobOutcome {
-    /// `arch-digest` of the final architecture probabilities.
-    pub digest: u64,
-    /// Epochs recorded in the outcome history.
-    pub epochs: u64,
-    /// The checkpoint epoch this attempt resumed from, if any.
-    pub resumed_from: Option<usize>,
-}
+use crate::ledger::{JobResult, JobSpec};
 
 /// Scripted misbehavior for one attempt — the process-level half of
 /// `dance-guard`'s `FaultPlan`, carried as plain knobs so the worker binary
@@ -88,7 +77,7 @@ pub fn run_job(
     ckpt_dir: &Path,
     resume: bool,
     on_epoch: &mut dyn FnMut(usize),
-) -> JobOutcome {
+) -> JobResult {
     let cfg = SearchConfig::builder()
         .epochs(usize::try_from(spec.epochs).unwrap_or(64).clamp(1, 64))
         .batch_size(usize::try_from(spec.batch).unwrap_or(32).clamp(2, 256))
@@ -100,7 +89,11 @@ pub fn run_job(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let net = Supernet::new(bench.supernet, &mut rng);
     let arch = ArchParams::new(bench.template.num_slots(), &mut rng);
-    let penalty = Penalty::Flops(&bench.template);
+    let penalty = if spec.flops_penalty {
+        Penalty::Flops(&bench.template)
+    } else {
+        Penalty::None
+    };
     let guard_cfg = GuardConfig {
         checkpoint: Some(CheckpointConfig::every_epoch(ckpt_dir.to_path_buf())),
         resume_from: resume.then(|| ckpt_dir.to_path_buf()),
@@ -117,10 +110,12 @@ pub fn run_job(
             on_epoch(s.epoch);
         },
     );
-    JobOutcome {
+    JobResult {
         digest: out.digest(),
         epochs: out.history.len() as u64,
-        resumed_from: out.guard.resumed_from_epoch,
+        choices: out.choices.iter().map(|c| c.index() as u8).collect(),
+        final_entropy_bits: out.history.last().map(|s| s.arch_entropy.to_bits()),
+        guard: out.guard,
     }
 }
 
@@ -148,6 +143,7 @@ impl WorkerArgs {
         let mut batch = 32u64;
         let mut seed = 0u64;
         let mut lambda2_bits = 0.1f32.to_bits();
+        let mut flops_penalty = true;
         let mut ckpt: Option<PathBuf> = None;
         let mut resume = false;
         let mut chaos = AttemptChaos::default();
@@ -165,6 +161,7 @@ impl WorkerArgs {
                     lambda2_bits = u32::from_str_radix(s, 16)
                         .map_err(|_| format!("bad hex value {s:?} for --lambda2-bits"))?;
                 }
+                "--no-penalty" => flops_penalty = false,
                 "--ckpt" => ckpt = Some(PathBuf::from(value("--ckpt")?)),
                 "--resume" => resume = true,
                 "--kill-after" => {
@@ -183,6 +180,7 @@ impl WorkerArgs {
                 batch,
                 seed,
                 lambda2_bits,
+                flops_penalty,
             },
             ckpt: ckpt.ok_or("--ckpt is required")?,
             resume,
@@ -206,6 +204,9 @@ impl WorkerArgs {
             "--ckpt".to_string(),
             self.ckpt.to_string_lossy().into_owned(),
         ];
+        if !self.spec.flops_penalty {
+            argv.push("--no-penalty".to_string());
+        }
         if self.resume {
             argv.push("--resume".to_string());
         }
@@ -269,14 +270,11 @@ pub fn worker_main(argv: &[String]) -> i32 {
         })
     }));
     match result {
-        Ok(out) => {
-            let resumed = out
-                .resumed_from
-                .map_or(String::new(), |e| format!(",\"resumed\":{e}"));
-            emit_line(&format!(
-                "{{\"v\":1,\"event\":\"done\",\"job\":\"{id}\",\"digest\":\"{:016x}\",\"epochs\":{}{resumed}}}",
-                out.digest, out.epochs
-            ));
+        Ok(result) => {
+            let mut line = format!("{{\"v\":1,\"event\":\"done\",\"job\":\"{id}\"");
+            result.render_fields(&mut line);
+            line.push('}');
+            emit_line(&line);
             0
         }
         Err(panic) => {
@@ -339,6 +337,22 @@ mod tests {
     }
 
     #[test]
+    fn worker_args_carry_a_spec_without_the_penalty() {
+        let args = WorkerArgs {
+            spec: JobSpec {
+                flops_penalty: false,
+                ..JobSpec::new(2, 32, 7, 0.1)
+            },
+            ckpt: PathBuf::from("/tmp/ckpt/fjob-y"),
+            resume: false,
+            chaos: AttemptChaos::default(),
+        };
+        let argv = args.to_argv();
+        assert!(argv.contains(&"--no-penalty".to_string()));
+        assert_eq!(WorkerArgs::parse(&argv).expect("argv parses"), args);
+    }
+
+    #[test]
     fn worker_args_reject_garbage() {
         let bad = |argv: &[&str]| {
             let argv: Vec<String> = argv.iter().map(ToString::to_string).collect();
@@ -376,7 +390,7 @@ mod tests {
         let resumed = run_job(&spec, &handoff_dir, true, &mut |_| {});
         assert_eq!(resumed.digest, straight.digest, "handoff must be bit-exact");
         assert_eq!(resumed.epochs, straight.epochs);
-        assert_eq!(resumed.resumed_from, Some(1));
+        assert_eq!(resumed.guard.resumed_from_epoch, Some(1));
 
         let _cleanup = std::fs::remove_dir_all(&straight_dir);
         let _cleanup2 = std::fs::remove_dir_all(&handoff_dir);

@@ -18,7 +18,7 @@
 //! 3. **Graceful cost-model degradation** ([`degrade`]): when the learned
 //!    cost net emits non-finite or out-of-envelope values, the search
 //!    swaps in a differentiable analytical surrogate instead of aborting.
-//! 4. **Fault injection** ([`fault`], behind `--features fault-injection`):
+//! 4. **Fault injection** (`fault`, behind `--features fault-injection`):
 //!    a deterministic `FaultPlan` that exercises every recovery path above
 //!    in tests rather than trusting them.
 //!
@@ -136,8 +136,8 @@ pub struct GuardReport {
 impl GuardReport {
     /// Folds another run's report into this one — counters add, flags OR,
     /// and the earliest resume epoch wins. Long-lived processes that host
-    /// many guarded runs (the `dance-serve` job workers) aggregate per-job
-    /// reports this way for their `health` endpoint.
+    /// many guarded runs (the `dance-fleet` supervisor behind `dance-serve`)
+    /// aggregate per-job reports this way for their `health` endpoint.
     pub fn absorb(&mut self, other: &GuardReport) {
         self.watchdog_trips += other.watchdog_trips;
         self.rollbacks += other.rollbacks;

@@ -4,7 +4,7 @@
 //! format: every `f32` is written as its exact `to_bits` hex so a reloaded
 //! plan is bit-for-bit the plan that was saved, the file ends with an
 //! FNV-1a integrity fold over everything before it, and writes go through
-//! [`dance_guard::atomic_write_text`] (temp file + rename). Truncation at
+//! [`dance_guard::checkpoint::atomic_write_text`] (temp file + rename). Truncation at
 //! any byte is rejected — the only admissible prefix is the one that lost
 //! no data at all, the cut that dropped just the trailing newline.
 

@@ -7,7 +7,7 @@
 //! Zero external dependencies: a thread-per-connection TCP server speaking
 //! newline-delimited JSON (protocol schema v1, see [`proto`]).
 //!
-//! Three endpoint families:
+//! Endpoint families:
 //!
 //! * **`cost/analytic`** — exact per-layer dataflow cost of a discrete
 //!   (architecture, accelerator-config) pair through `dance-cost`,
@@ -15,26 +15,28 @@
 //! * **`cost/predict`** — learned-evaluator metrics + hardware-generation
 //!   read-out, with concurrent requests coalesced into micro-batches by
 //!   [`batch::PredictBatcher`] to amortize forward passes;
-//! * **`search/submit|status|result`** — asynchronous guarded search jobs
-//!   ([`jobs::JobTable`]) running `dance_search_guarded` with optional
-//!   `dance-guard` checkpointing;
+//! * **`search/submit|status|result`** and **`fleet/submit|status|drain`**
+//!   — guarded search jobs, both families run by one lease-supervised
+//!   `dance-fleet` supervisor ([`fleet::FleetTable`]) over a durable job
+//!   ledger with per-epoch checkpoints. Submission is idempotent (the job
+//!   id is the spec digest), so client retries after transport failures
+//!   cannot duplicate work; per-worker health and lease-recovery counters
+//!   surface under `health`;
 //! * **`campaign/submit|status|stream|cancel`** — co-search campaigns
 //!   ([`campaign::CampaignTable`]) orchestrated by `dance-campaign`, with
 //!   `campaign/stream` holding the connection open and writing NDJSON
-//!   `frontier_update` events (replayable from any offset via `from`);
-//! * **`fleet/submit|status|drain`** — lease-supervised search jobs
-//!   ([`fleet::FleetTable`]) backed by `dance-fleet`'s durable job ledger.
-//!   Submission is idempotent (the job id is the spec digest), so client
-//!   retries after transport failures cannot duplicate work; per-worker
-//!   health and lease-recovery counters surface under `health`.
+//!   `frontier_update` events (replayable from any offset via `from`).
 //!
 //! Cross-cutting: a sharded LRU response cache ([`cache::ResponseCache`])
 //! keyed on quantized payloads whose hits replay **bit-identical** bytes,
 //! bounded queues everywhere with `503 Overloaded` shedding instead of
 //! unbounded growth, per-request queue-wait deadlines, graceful drain via
-//! `admin/shutdown`, a `health` endpoint surfacing guard/queue/cache
+//! `admin/shutdown`, a `health` endpoint surfacing guard/queue/cache/fleet
 //! state, and full `dance-telemetry` instrumentation (per-endpoint spans,
-//! queue-depth gauges, cache hit/miss counters).
+//! queue-depth gauges, cache hit/miss counters). Every mutex follows the
+//! workspace single-lock rule that `dance-analyze --concurrency` checks:
+//! at most one guard is live at a time, never across a queue wait, pool
+//! dispatch or I/O.
 //!
 //! ## Quick start
 //!
@@ -53,7 +55,6 @@ pub mod cache;
 pub mod campaign;
 pub mod client;
 pub mod fleet;
-pub mod jobs;
 pub mod proto;
 pub mod queue;
 pub mod server;

@@ -10,7 +10,7 @@
 //! |------------------|-------------------------------------------------------------|
 //! | `cost/analytic`  | `choices` (9 × 0‥6), `cfg` (0‥4334), optional `detail`      |
 //! | `cost/predict`   | `arch` (finite floats, evaluator encoding width)            |
-//! | `search/submit`  | `epochs`, `seed`, `lambda2`, `penalty` (`flops`\|`none`), `checkpoint` |
+//! | `search/submit`  | `epochs`, `seed`, `lambda2`, `penalty` (`flops`\|`none`) (all optional; runs on the fleet at batch 32, so resubmission dedupes) |
 //! | `search/status`  | `job`                                                       |
 //! | `search/result`  | `job`                                                       |
 //! | `campaign/submit`| `lambda2[]`, `dataset_seeds[]`, `envelopes[]`, `epochs`, `batch`, `seed`, `max_concurrency` (all optional) |
@@ -57,7 +57,8 @@ pub enum ReqBody {
         /// Architecture encoding row (finite floats).
         arch: Vec<f32>,
     },
-    /// Submit an asynchronous guarded search job.
+    /// Submit a guarded search job to the fleet at batch 32. Idempotent,
+    /// like [`ReqBody::FleetSubmit`]: the same spec is the same job.
     SearchSubmit {
         /// Search epochs.
         epochs: usize,
@@ -68,8 +69,6 @@ pub enum ReqBody {
         lambda2: f32,
         /// `true` → FLOPs penalty, `false` → accuracy-only.
         flops_penalty: bool,
-        /// Write per-epoch atomic checkpoints via `dance-guard`.
-        checkpoint: bool,
     },
     /// Poll a job's state.
     SearchStatus {
@@ -305,7 +304,6 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                     )))
                 }
             },
-            checkpoint: get_bool(&v, "checkpoint").unwrap_or(false),
         },
         "search/status" | "search/result" => {
             let job = v
@@ -466,7 +464,6 @@ pub fn render_request(req: &Request) -> String {
             seed,
             lambda2,
             flops_penalty,
-            checkpoint,
         } => {
             out.push_str("\"search/submit\",\"epochs\":");
             push_num(&mut out, *epochs as f64);
@@ -476,8 +473,6 @@ pub fn render_request(req: &Request) -> String {
             push_num(&mut out, f64::from(*lambda2));
             out.push_str(",\"penalty\":");
             push_escaped(&mut out, if *flops_penalty { "flops" } else { "none" });
-            out.push_str(",\"checkpoint\":");
-            out.push_str(if *checkpoint { "true" } else { "false" });
         }
         ReqBody::SearchStatus { job } => {
             out.push_str("\"search/status\",\"job\":");
@@ -679,7 +674,6 @@ mod tests {
                 seed: 42,
                 lambda2: 0.25,
                 flops_penalty: false,
-                checkpoint: true,
             },
             ReqBody::SearchStatus {
                 job: "job-7".into(),

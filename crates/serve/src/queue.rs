@@ -1,6 +1,7 @@
 //! Bounded queues and admission control — the backpressure layer.
 //!
-//! Every path work can enter the server goes through one of two gates:
+//! Cost queries enter the server through one of two gates (search jobs
+//! are bounded by the fleet's pending limit instead):
 //!
 //! * [`Bounded`] — a closable MPMC queue with a hard capacity. Producers
 //!   never block: a full queue is an immediate `Err`, which the dispatch
@@ -70,31 +71,6 @@ impl<T> Bounded<T> {
         Ok(())
     }
 
-    /// Dequeues, waiting up to `timeout`. Returns `None` on timeout or when
-    /// the queue is closed *and* empty (items enqueued before the close are
-    /// still drained).
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.lock();
-        loop {
-            if let Some(item) = inner.queue.pop_front() {
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _timed_out) = self
-                .available
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
-        }
-    }
-
     /// Blocks while the queue is empty, then takes everything already
     /// waiting, up to `max` items (at least one), in FIFO order under one
     /// lock. Returns `None` once the queue is closed *and* empty (items
@@ -119,11 +95,6 @@ impl<T> Bounded<T> {
     pub fn close(&self) {
         self.lock().closed = true;
         self.available.notify_all();
-    }
-
-    /// Whether [`Bounded::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     /// Current depth.
@@ -243,16 +214,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn push_pop_fifo() {
-        let q = Bounded::new(4);
-        assert!(q.try_push(1).is_ok());
-        assert!(q.try_push(2).is_ok());
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Some(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Some(2));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), None);
-    }
-
-    #[test]
     fn full_queue_rejects_without_blocking() {
         let q = Bounded::new(2);
         assert!(q.try_push(1).is_ok());
@@ -267,18 +228,8 @@ mod tests {
         q.try_push(7).map_err(|_| ()).unwrap_or(());
         q.close();
         assert_eq!(q.try_push(8), Err(8));
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Some(7));
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), None);
-    }
-
-    #[test]
-    fn close_wakes_blocked_consumer() {
-        let q = Arc::new(Bounded::<u32>::new(4));
-        let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert_eq!(h.join().expect("consumer thread must not panic"), None);
+        assert_eq!(q.pop_batch(8), Some(vec![7]));
+        assert_eq!(q.pop_batch(8), None);
     }
 
     #[test]

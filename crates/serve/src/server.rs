@@ -4,12 +4,15 @@
 //! observes the drain flag promptly. Dispatch routes each parsed request
 //! through the response cache, then to its endpoint family: analytic cost
 //! queries run inline under [`Admission`] control, predictions go through
-//! the micro-batch collector, and search jobs go to the worker pool. A
-//! graceful drain (the `admin/shutdown` op) stops the accept loop, sheds
-//! new work with `503`, lets in-flight work finish, and only then joins
-//! the batcher and job workers — so a kill mid-drain can at worst lose a
-//! response, never tear a checkpoint or run log (those writes are atomic
-//! temp+rename on the `dance-guard` side).
+//! the micro-batch collector, and `search/*` and `fleet/*` jobs go to the
+//! one fleet supervisor ([`FleetTable`]). A graceful drain (the
+//! `admin/shutdown` op) stops the accept loop, sheds new work with `503`,
+//! lets in-flight work finish, and only then joins the batcher and the
+//! fleet's workers — so a kill mid-drain can at worst lose a response,
+//! never tear a checkpoint, ledger or run log (those writes are atomic
+//! temp+rename on the `dance-guard` side). Jobs still pending at the drain
+//! stay in the fleet ledger and run when a server restarts over the same
+//! `fleet_root`.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -28,26 +31,26 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dance_campaign::prelude::{CampaignSpec, Envelope, EventLog, Waited};
+use dance_fleet::prelude::JobSpec;
 
 use crate::batch::{BatchConfig, PredictBatcher};
 use crate::cache::ResponseCache;
 use crate::campaign::CampaignTable;
 use crate::client::LineReader;
-use crate::fleet::FleetTable;
-use crate::jobs::JobTable;
+use crate::fleet::{push_health, FleetTable};
 use crate::proto::{
     self, cache_key, parse_request, render_err, render_ok, ProtoError, ReqBody, Request,
 };
 use crate::queue::Admission;
+
+/// Mini-batch size of a `search/submit` job.
+const SEARCH_BATCH: u64 = 32;
 
 /// Server tuning knobs; [`Default`] is sized for the dev machine.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Search-job worker threads. Defaults to the shared backend pool
-    /// size ([`dance_backend::threads`], i.e. `DANCE_THREADS`).
-    pub search_workers: usize,
     /// Max concurrently executing analytic queries.
     pub max_inflight: usize,
     /// Max analytic queries queued behind the in-flight ones.
@@ -56,7 +59,8 @@ pub struct ServeConfig {
     pub default_deadline_ms: u64,
     /// Micro-batch collector tuning.
     pub batch: BatchConfig,
-    /// Pending search jobs accepted before shedding.
+    /// Fleet jobs (from `search/submit` and `fleet/submit`) that may wait
+    /// for a worker; a new spec beyond that sheds with `503`.
     pub job_queue: usize,
     /// Response-cache entries (across all shards).
     pub cache_capacity: usize,
@@ -67,12 +71,14 @@ pub struct ServeConfig {
     pub eval_seed: u64,
     /// Hidden width of the served evaluator networks.
     pub eval_width: usize,
-    /// Root directory for per-job checkpoints.
+    /// Unused: search jobs run on the fleet and checkpoint under
+    /// `fleet_root`. Kept because `perfbench` sets it.
     pub ckpt_root: std::path::PathBuf,
     /// Root directory for campaign manifests and per-cell checkpoints
     /// (`<campaign_root>/<campaign-id>/`).
     pub campaign_root: std::path::PathBuf,
-    /// In-process fleet worker threads behind the `fleet/*` endpoints.
+    /// Fleet worker threads, each running one `search/*` or `fleet/*` job
+    /// at a time.
     pub fleet_workers: usize,
     /// Root directory for the fleet's job ledger and checkpoints.
     pub fleet_root: std::path::PathBuf,
@@ -85,7 +91,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            search_workers: dance_backend::threads(),
             max_inflight: 8,
             max_waiting: 64,
             default_deadline_ms: 100,
@@ -110,12 +115,8 @@ struct Shared {
     cache: ResponseCache,
     admission: Admission,
     batcher: PredictBatcher,
-    jobs: JobTable,
     campaigns: CampaignTable,
-    // `Option` so a graceful drain can take ownership and join the fleet's
-    // worker threads; `None` also covers a fleet that failed to start
-    // (fleet ops then answer 500, everything else still serves).
-    fleet: std::sync::Mutex<Option<FleetTable>>,
+    fleet: FleetTable,
     model: CostModel,
     template: NetworkTemplate,
     space: HardwareSpace,
@@ -134,12 +135,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and spins up the batcher and job workers.
+    /// Binds the listener and spins up the batcher and the fleet.
     ///
     /// # Errors
     ///
-    /// Propagates bind failures, and fails when the served evaluator cannot
-    /// be frozen into the predict plan.
+    /// Propagates bind failures, fails when the served evaluator cannot be
+    /// frozen into the predict plan, and fails, naming the fleet root, when
+    /// the fleet cannot start.
     pub fn bind(cfg: &ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
@@ -158,23 +160,15 @@ impl Server {
             HeadSampling::Softmax { tau: 1.0 },
         );
         // Started first, so a freeze error returns before any other worker
-        // thread exists.
+        // thread exists; a fleet that cannot start stops it again.
         let batcher = PredictBatcher::start(&evaluator, cfg.batch).map_err(io::Error::other)?;
-        let fleet = match FleetTable::start(&cfg.fleet_root, cfg.fleet_workers, cfg.fleet_lease_ms)
-        {
-            Ok(table) => Some(table),
-            Err(e) => {
-                eprintln!("warning: fleet disabled: {e}");
-                None
-            }
-        };
+        let fleet = FleetTable::start(cfg).inspect_err(|_| batcher.shutdown())?;
         let shared = Arc::new(Shared {
             cache: ResponseCache::new(cfg.cache_capacity, cfg.cache_shards),
             admission: Admission::new(cfg.max_inflight, cfg.max_waiting),
             batcher,
-            jobs: JobTable::start(cfg.search_workers, cfg.job_queue, cfg.ckpt_root.clone()),
             campaigns: CampaignTable::new(cfg.campaign_root.clone()),
-            fleet: std::sync::Mutex::new(fleet),
+            fleet,
             model: CostModel::new(),
             template: NetworkTemplate::cifar10(),
             space: HardwareSpace::new(),
@@ -203,7 +197,7 @@ impl Server {
     /// Serves until drained: accepts connections, spawns one thread each,
     /// and — once `admin/shutdown` arrives — stops accepting, waits for
     /// every connection to finish, then drains and joins the batcher and
-    /// job workers.
+    /// the fleet's workers.
     ///
     /// # Errors
     ///
@@ -244,17 +238,8 @@ impl Server {
             std::thread::sleep(Duration::from_millis(10));
         }
         self.shared.batcher.shutdown();
-        self.shared.jobs.shutdown();
         self.shared.campaigns.shutdown();
-        let fleet = self
-            .shared
-            .fleet
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        if let Some(fleet) = fleet {
-            fleet.shutdown();
-        }
+        self.shared.fleet.shutdown();
         dance_telemetry::counter!("serve.drained");
         dance_telemetry::gauge!(
             "serve.requests_total",
@@ -454,33 +439,17 @@ fn dispatch(shared: &Shared, req: &Request) -> Result<String, ProtoError> {
             seed,
             lambda2,
             flops_penalty,
-            checkpoint,
         } => {
             if draining {
                 return Err(ProtoError::overloaded("server is draining"));
             }
-            let id = shared
-                .jobs
-                .submit(*epochs, *seed, *lambda2, *flops_penalty, *checkpoint)?;
-            let mut payload = String::with_capacity(24);
-            payload.push_str("\"job\":");
-            dance_telemetry::json::push_escaped(&mut payload, &id);
-            Ok(payload)
+            shared.fleet.submit(JobSpec {
+                flops_penalty: *flops_penalty,
+                ..JobSpec::new(*epochs as u64, SEARCH_BATCH, *seed, *lambda2)
+            })
         }
-        ReqBody::SearchStatus { job } => {
-            let state = shared
-                .jobs
-                .state(job)
-                .ok_or_else(|| ProtoError::not_found(format!("unknown job {job:?}")))?;
-            let label = match state {
-                crate::jobs::JobState::Queued => "queued",
-                crate::jobs::JobState::Running => "running",
-                crate::jobs::JobState::Done(_) => "done",
-                crate::jobs::JobState::Failed(_) => "failed",
-            };
-            Ok(format!("\"state\":\"{label}\""))
-        }
-        ReqBody::SearchResult { job } => shared.jobs.result(job),
+        ReqBody::SearchStatus { job } => shared.fleet.search_status(job),
+        ReqBody::SearchResult { job } => shared.fleet.search_result(job),
         ReqBody::CampaignSubmit {
             lambda2,
             dataset_seeds,
@@ -539,51 +508,18 @@ fn dispatch(shared: &Shared, req: &Request) -> Result<String, ProtoError> {
             if draining {
                 return Err(ProtoError::overloaded("server is draining"));
             }
-            with_fleet(shared, |fleet| {
-                fleet
-                    .submit(*epochs, *batch, *seed, *lambda2)
-                    .map_err(fleet_submit_err)
-            })
+            shared
+                .fleet
+                .submit(JobSpec::new(*epochs as u64, *batch as u64, *seed, *lambda2))
         }
-        ReqBody::FleetStatus { job } => with_fleet(shared, |fleet| {
-            fleet
-                .status(job)
-                .ok_or_else(|| ProtoError::not_found(format!("unknown fleet job {job:?}")))
-        }),
-        ReqBody::FleetDrain => with_fleet(shared, |fleet| Ok(fleet.drain())),
+        ReqBody::FleetStatus { job } => shared.fleet.status(job),
+        ReqBody::FleetDrain => Ok(shared.fleet.drain()),
         ReqBody::Health => Ok(health_payload(shared)),
         ReqBody::Shutdown => {
             shared.drain.store(true, Ordering::SeqCst);
             dance_telemetry::counter!("serve.shutdown_requested");
             Ok("\"draining\":true".into())
         }
-    }
-}
-
-/// Runs `f` against the fleet table; `500` when the fleet failed to start.
-/// The lock is per-request — fleet ops serialize, which is fine at their
-/// rate (submissions and polls, not the cost-query hot path).
-fn with_fleet<F>(shared: &Shared, f: F) -> Result<String, ProtoError>
-where
-    F: FnOnce(&FleetTable) -> Result<String, ProtoError>,
-{
-    let guard = shared
-        .fleet
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    match guard.as_ref() {
-        Some(fleet) => f(fleet),
-        None => Err(ProtoError::internal("fleet is not running")),
-    }
-}
-
-/// Maps a fleet submission error string onto a protocol code: rejected
-/// specs are the client's fault, a draining fleet is back-pressure.
-fn fleet_submit_err(msg: String) -> ProtoError {
-    if msg.contains("draining") {
-        ProtoError::overloaded(msg)
-    } else {
-        ProtoError::bad_request(msg)
     }
 }
 
@@ -645,8 +581,8 @@ fn analytic_payload(
 
 fn health_payload(shared: &Shared) -> String {
     let cache = shared.cache.stats();
-    let jobs = shared.jobs.counts();
-    let guard = shared.jobs.guard_total();
+    let fleet = shared.fleet.counts();
+    let guard = &fleet.guard;
     let mut p = String::with_capacity(256);
     p.push_str("\"draining\":");
     p.push_str(if shared.drain.load(Ordering::SeqCst) {
@@ -667,19 +603,11 @@ fn health_payload(shared: &Shared) -> String {
     p.push_str("},\"queues\":{\"predict\":");
     push_num(&mut p, shared.batcher.depth() as f64);
     p.push_str(",\"jobs\":");
-    push_num(&mut p, shared.jobs.depth() as f64);
+    push_num(&mut p, fleet.pending as f64);
     p.push_str(",\"admission_active\":");
     push_num(&mut p, shared.admission.active() as f64);
     p.push_str(",\"admission_waiting\":");
     push_num(&mut p, shared.admission.waiting() as f64);
-    p.push_str("},\"jobs\":{\"queued\":");
-    push_num(&mut p, jobs.queued as f64);
-    p.push_str(",\"running\":");
-    push_num(&mut p, jobs.running as f64);
-    p.push_str(",\"done\":");
-    push_num(&mut p, jobs.done as f64);
-    p.push_str(",\"failed\":");
-    push_num(&mut p, jobs.failed as f64);
     let camps = shared.campaigns.counts();
     p.push_str("},\"campaigns\":{\"running\":");
     push_num(&mut p, camps.running as f64);
@@ -687,22 +615,9 @@ fn health_payload(shared: &Shared) -> String {
     push_num(&mut p, camps.done as f64);
     p.push_str(",\"failed\":");
     push_num(&mut p, camps.failed as f64);
-    p.push_str("},\"fleet\":");
-    {
-        let guard = shared
-            .fleet
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match guard.as_ref() {
-            Some(fleet) => {
-                p.push('{');
-                p.push_str(&fleet.health_fragment());
-                p.push('}');
-            }
-            None => p.push_str("null"),
-        }
-    }
-    p.push_str(",\"guard\":{\"enabled\":");
+    p.push_str("},\"fleet\":{");
+    push_health(&mut p, &fleet);
+    p.push_str("},\"guard\":{\"enabled\":");
     p.push_str(if dance_guard::enabled() {
         "true"
     } else {

@@ -83,7 +83,7 @@ proptest! {
         // 2^53 — the documented protocol limit.
         seed in 0u64..(1u64 << 53),
         lambda2 in 0.0f32..8.0,
-        flags in prop::collection::vec(prop::sample::select(vec![true, false]), 2),
+        flops_penalty in prop::sample::select(vec![true, false]),
     ) {
         roundtrip(&Request {
             id,
@@ -92,8 +92,7 @@ proptest! {
                 epochs,
                 seed,
                 lambda2,
-                flops_penalty: flags[0],
-                checkpoint: flags[1],
+                flops_penalty,
             },
         });
     }

@@ -1,6 +1,6 @@
 //! Per-thread aggregation shards for spans, counters and histograms.
 //!
-//! Every thread that records owns one [`Shard`]. A record locks only its
+//! Every thread that records owns one `Shard`. A record locks only its
 //! own thread's shard, a mutex that no other thread touches except when
 //! `span_report()`, `metrics::snapshot()` or a `reset()` walks every shard,
 //! so recording threads never contend with each other.

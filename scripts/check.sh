@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
+# Every intra-doc link must resolve. `--lib` because the root package's
+# dance_serve, dance_plan, dance_fleet and dance_campaign binaries share
+# their names with library crates, and their docs would collide.
+echo "== cargo doc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --lib -q
+
 echo "== dance-analyze --all =="
 cargo run --release -q -p dance-analyze -- --all
 

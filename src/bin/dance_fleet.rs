@@ -140,7 +140,7 @@ fn main() -> ExitCode {
     // Sorted, greppable digest lines — the chaos-drill gate compares these
     // between a clean run and a kill-one-worker run.
     for job in &jobs {
-        if let Some(digest) = job.digest {
+        if let Some(digest) = job.digest() {
             println!("job {} arch-digest: {digest:016x}", job.id);
         }
     }

@@ -5,8 +5,11 @@
 //!             [--deadline-ms N] [--job-queue N]
 //! ```
 //!
-//! Binds, prints `listening on <addr>` (scripts and `serve_load` parse
-//! this line), then serves until an `admin/shutdown` request drains it.
+//! `--workers N` sets both the analytic concurrency and the fleet's search
+//! workers (at most 4); `--job-queue N` is how many search jobs may wait
+//! for one. Binds, prints `listening on <addr>` (scripts and `serve_load`
+//! parse this line), then serves until an `admin/shutdown` request drains
+//! it.
 //! The whole lifetime runs under one telemetry run log, so a clean drain
 //! ends with a `run_end` record — the property the CI smoke asserts.
 
@@ -41,9 +44,9 @@ fn main() {
             "--workers" => {
                 let n: usize = parse_num(&mut args, "--workers");
                 // One knob for both execution pools: inline analytic
-                // concurrency and the search-job worker count.
+                // concurrency and the fleet's search-job worker count.
                 cfg.max_inflight = n.max(1);
-                cfg.search_workers = n.clamp(1, 4);
+                cfg.fleet_workers = n.clamp(1, 4);
             }
             "--cache-cap" => cfg.cache_capacity = parse_num(&mut args, "--cache-cap"),
             "--deadline-ms" => cfg.default_deadline_ms = parse_num(&mut args, "--deadline-ms"),

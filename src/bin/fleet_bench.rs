@@ -116,7 +116,7 @@ fn run_phase(
                 counts.reclaims,
                 wall_ms as f64 / 1000.0
             );
-            let digests = jobs.into_iter().map(|j| (j.id, j.digest)).collect();
+            let digests = jobs.iter().map(|j| (j.id.clone(), j.digest())).collect();
             Some(Phase {
                 counts,
                 digests,

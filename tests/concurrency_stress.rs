@@ -91,19 +91,16 @@ fn eight_threads_hammer_cache_queue_and_pool_without_deadlock() {
     let queue = Arc::new(Bounded::<u64>::new(32));
     let pushed = Arc::new(AtomicU64::new(0));
 
-    // Drain the queue concurrently so pushes keep finding room. A timeout
-    // with the queue still open is an idle gap, not the end of the stream:
-    // the consumer only exits once the queue is closed and drained.
+    // Drain the queue concurrently so pushes keep finding room, taking what
+    // is queued in batches as the predict collector does. `pop_batch` blocks
+    // while the queue is open and empty, and ends once it is closed and
+    // drained.
     let popped = {
         let queue = Arc::clone(&queue);
         thread::spawn(move || {
             let mut n = 0u64;
-            loop {
-                match queue.pop_timeout(Duration::from_millis(50)) {
-                    Some(_item) => n += 1,
-                    None if queue.is_closed() && queue.is_empty() => break,
-                    None => {}
-                }
+            while let Some(batch) = queue.pop_batch(8) {
+                n += batch.len() as u64;
             }
             n
         })

@@ -58,7 +58,7 @@ fn fault_plan_kill_drill_recovers_bit_exact() {
     assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
     let view = fleet.status(&id).expect("status");
     assert_eq!(view.state, "done", "job: {:?}", view.error);
-    assert_eq!(view.digest, Some(want), "plan-driven kill diverged");
+    assert_eq!(view.digest(), Some(want), "plan-driven kill diverged");
     assert!(fleet.counts().reclaims >= 1);
     fleet.shutdown();
     let _cleanup = std::fs::remove_dir_all(&dir);
@@ -96,7 +96,7 @@ fn torn_ledger_writes_cost_at_most_one_generation() {
             .map(|id| {
                 let view = fleet.status(id).expect("status");
                 assert_eq!(view.state, "done", "job {id}: {:?}", view.error);
-                view.digest.expect("done job has a digest")
+                view.digest().expect("done job has a digest")
             })
             .collect();
         fleet.shutdown();
@@ -111,7 +111,7 @@ fn torn_ledger_writes_cost_at_most_one_generation() {
     for (id, want) in ids.iter().zip(&want) {
         if let Some(view) = fleet.status(id) {
             assert_eq!(view.state, "done", "recovered job {id} regressed");
-            assert_eq!(view.digest, Some(*want));
+            assert_eq!(view.digest(), Some(*want));
         }
     }
     // Either way, resubmitting runs (or dedupes) back to the same digests.
@@ -123,7 +123,7 @@ fn torn_ledger_writes_cost_at_most_one_generation() {
     for (id, want) in resubmitted.iter().zip(&want) {
         let view = fleet.status(id).expect("status");
         assert_eq!(view.state, "done", "job {id}: {:?}", view.error);
-        assert_eq!(view.digest, Some(*want), "post-recovery digest diverged");
+        assert_eq!(view.digest(), Some(*want), "post-recovery digest diverged");
     }
     fleet.shutdown();
     let _cleanup = std::fs::remove_dir_all(&dir);
@@ -149,7 +149,7 @@ fn stall_and_slow_composed_drill_lands_clean() {
     assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
     let view = fleet.status(&id).expect("status");
     assert_eq!(view.state, "done", "job: {:?}", view.error);
-    assert_eq!(view.digest, Some(want), "stall+slow drill diverged");
+    assert_eq!(view.digest(), Some(want), "stall+slow drill diverged");
     assert!(fleet.counts().reclaims >= 1, "stalled lease reclaimed");
     fleet.shutdown();
     let _cleanup = std::fs::remove_dir_all(&dir);

@@ -77,7 +77,7 @@ fn killed_children_are_reclaimed_at_eof_without_heartbeat_writes() {
     for (id, want) in ids.iter().zip(&want) {
         let view = fleet.status(id).expect("status");
         assert_eq!(view.state, "done", "job {id}: {:?}", view.error);
-        assert_eq!(view.digest, Some(*want), "job {id} digest diverged");
+        assert_eq!(view.digest(), Some(*want), "job {id} digest diverged");
     }
     let counts = fleet.counts();
     fleet.shutdown();
@@ -121,7 +121,7 @@ fn stalled_child_is_killed_at_lease_expiry_and_never_fenced() {
     let counts = fleet.counts();
     fleet.shutdown();
     assert_eq!(view.state, "done", "job: {:?}", view.error);
-    assert_eq!(view.digest, Some(want), "recovered digest diverged");
+    assert_eq!(view.digest(), Some(want), "recovered digest diverged");
     // At opt-level 1 a resumed child's start-up can also outlast 300 ms, so
     // more than one reclaim is possible.
     assert!(

@@ -65,7 +65,7 @@ fn killing_every_first_attempt_still_lands_every_digest() {
     for (i, id) in ids.iter().enumerate() {
         let view = fleet.status(id).expect("status");
         assert_eq!(view.state, "done", "job {id}: {:?}", view.error);
-        assert_eq!(view.digest, Some(want[i]), "job {id} digest diverged");
+        assert_eq!(view.digest(), Some(want[i]), "job {id} digest diverged");
         assert!(view.attempt >= 2, "job {id} was never re-dispatched");
     }
     let counts = fleet.counts();
@@ -107,7 +107,7 @@ fn stalled_heartbeat_is_fenced_and_the_job_still_lands() {
 
     let view = fleet.status(&id).expect("status");
     assert_eq!(view.state, "done", "job: {:?}", view.error);
-    assert_eq!(view.digest, Some(want), "recovered digest diverged");
+    assert_eq!(view.digest(), Some(want), "recovered digest diverged");
     assert!(fleet.counts().reclaims >= 1, "stalled lease was reclaimed");
     // The fleet settles on the clean re-dispatch while the zombie attempt
     // is still grinding through its slowed epochs; its doomed result is
@@ -151,7 +151,7 @@ fn slow_peer_with_live_heartbeats_keeps_its_lease() {
 
     let view = fleet.status(&id).expect("status");
     assert_eq!(view.state, "done", "job: {:?}", view.error);
-    assert_eq!(view.digest, Some(want));
+    assert_eq!(view.digest(), Some(want));
     assert_eq!(view.attempt, 1, "slow peer kept its first attempt");
     let counts = fleet.counts();
     assert_eq!(counts.reclaims, 0, "live heartbeats held the lease");
@@ -182,7 +182,7 @@ fn restart_after_chaos_recovers_the_finished_fleet_from_the_ledger() {
         let digest = fleet
             .status(&id)
             .expect("status")
-            .digest
+            .digest()
             .expect("done job has a digest");
         fleet.shutdown();
         (id, digest)
@@ -194,7 +194,7 @@ fn restart_after_chaos_recovers_the_finished_fleet_from_the_ledger() {
     let fleet = Fleet::start(FleetOpts::new(dir.clone()).with_workers(1)).expect("restart");
     let view = fleet.status(&id).expect("job survived the restart");
     assert_eq!(view.state, "done");
-    assert_eq!(view.digest, Some(digest));
+    assert_eq!(view.digest(), Some(digest));
     let (again, deduped) = fleet.submit(spec).expect("resubmit");
     assert!(deduped, "finished job must dedupe across restarts");
     assert_eq!(again, id);

@@ -157,7 +157,7 @@ fn overload_sheds_with_503_and_queues_stay_bounded() {
     // One search worker and a one-deep job queue: a burst of submissions
     // must accept at most worker+queue jobs and shed the rest with 503.
     let cfg = ServeConfig {
-        search_workers: 1,
+        fleet_workers: 1,
         job_queue: 1,
         ..ServeConfig::default()
     };
@@ -176,7 +176,6 @@ fn overload_sheds_with_503_and_queues_stay_bounded() {
                     seed: 7 + i as u64,
                     lambda2: 0.1,
                     flops_penalty: false,
-                    checkpoint: false,
                 },
             })
             .expect("submit request round-trips");
@@ -566,4 +565,120 @@ fn fleet_endpoints_dedupe_submissions_and_drain_cleanly() {
     shutdown(&addr);
     handle.join().expect("server thread joins after drain");
     let _cleanup = std::fs::remove_dir_all(&fleet_root);
+}
+
+#[test]
+fn search_jobs_run_on_the_fleet_with_the_parent_answers() {
+    let (addr, handle) = start_server(ServeConfig::default());
+    let mut client = connect(&addr);
+    let call = |client: &mut Client, body: ReqBody| {
+        client
+            .call(&Request {
+                id: "s".into(),
+                deadline_ms: None,
+                body,
+            })
+            .expect("search call returns")
+    };
+    let submit = |flops_penalty| ReqBody::SearchSubmit {
+        epochs: 2,
+        seed: 7,
+        lambda2: 0.1,
+        flops_penalty,
+    };
+    let wait_result = |client: &mut Client, job: &str| {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        loop {
+            let status = call(client, ReqBody::SearchStatus { job: job.into() });
+            let state = status.get("state").and_then(Json::as_str).unwrap_or("?");
+            if state == "done" {
+                return call(client, ReqBody::SearchResult { job: job.into() });
+            }
+            assert_ne!(state, "failed", "job {job} failed");
+            assert!(Instant::now() < deadline, "job {job} stuck in {state}");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    };
+
+    // The id is the one `fleet/submit` gives the same spec at batch 32.
+    let first = call(&mut client, submit(true));
+    assert_eq!(
+        first.get("job").and_then(Json::as_str),
+        Some("fjob-5df6a14915339fff"),
+        "{first:?}"
+    );
+    assert_eq!(first.get("deduped"), Some(&Json::Bool(false)));
+    let again = call(&mut client, submit(true));
+    assert_eq!(
+        again.get("job").and_then(Json::as_str),
+        Some("fjob-5df6a14915339fff")
+    );
+    assert_eq!(again.get("deduped"), Some(&Json::Bool(true)));
+
+    // Pinned: what `search/*` answered for this spec before it ran on the
+    // fleet.
+    let result = wait_result(&mut client, "fjob-5df6a14915339fff");
+    assert_eq!(
+        result.get("digest").and_then(Json::as_str),
+        Some("68ad21587d07401d"),
+        "{result:?}"
+    );
+    let choices: Vec<f64> = result
+        .get("choices")
+        .and_then(Json::as_arr)
+        .expect("result has choices")
+        .iter()
+        .filter_map(Json::as_f64)
+        .collect();
+    assert_eq!(choices, [5.0, 6.0, 4.0, 2.0, 6.0, 6.0, 2.0, 1.0, 2.0]);
+    assert_eq!(result.get("epochs").and_then(Json::as_f64), Some(2.0));
+    let entropy = result
+        .get("final_entropy")
+        .and_then(Json::as_f64)
+        .expect("result has a final entropy");
+    assert_eq!(entropy.to_bits(), 1.944_864_034_652_71_f64.to_bits());
+    let status = call(
+        &mut client,
+        ReqBody::FleetStatus {
+            job: "fjob-5df6a14915339fff".into(),
+        },
+    );
+    assert_eq!(
+        status.get("digest").and_then(Json::as_str),
+        Some("68ad21587d07401d")
+    );
+
+    // Without the penalty it is another job with another answer.
+    let plain = call(&mut client, submit(false));
+    let plain_id = plain
+        .get("job")
+        .and_then(Json::as_str)
+        .expect("submit returns a job id")
+        .to_string();
+    assert_ne!(plain_id, "fjob-5df6a14915339fff");
+    let plain_result = wait_result(&mut client, &plain_id);
+    assert_eq!(
+        plain_result.get("digest").and_then(Json::as_str),
+        Some("ba5a53b3294e819f"),
+        "{plain_result:?}"
+    );
+
+    shutdown(&addr);
+    handle.join().expect("server thread joins after drain");
+}
+
+#[test]
+fn a_fleet_root_that_is_a_file_fails_bind() {
+    let file = std::env::temp_dir().join(format!("dance_serve_fleet_file_{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").expect("write the blocking file");
+    let err = Server::bind(&ServeConfig {
+        fleet_root: file.clone(),
+        ..ServeConfig::default()
+    })
+    .expect_err("a fleet that cannot start must fail bind");
+    assert!(
+        err.to_string().contains(&file.display().to_string()),
+        "the error names the fleet root: {err}"
+    );
+    let _cleanup = std::fs::remove_file(&file);
 }
