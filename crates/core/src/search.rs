@@ -26,6 +26,7 @@ use dance_data::tasks::TaskData;
 use dance_evaluator::evaluator::Evaluator;
 use dance_guard::checkpoint::{CheckpointConfig, CheckpointStore, Snapshot};
 use dance_guard::degrade::check_metrics;
+use dance_guard::fault::FaultPlan;
 use dance_guard::watchdog::Watchdog;
 use dance_guard::{GuardConfig, GuardReport};
 use dance_nas::arch::ArchParams;
@@ -464,62 +465,6 @@ fn history_from_snapshot(snap: &Snapshot) -> io::Result<Vec<EpochStats>> {
         .collect())
 }
 
-// Fault-injection query shims: compiled to constants unless the
-// `fault-injection` feature is on, so release search loops carry none of
-// the harness.
-#[cfg(feature = "fault-injection")]
-fn fault_nan_loss(g: &GuardConfig, step: u64) -> bool {
-    g.fault_plan.as_ref().map_or(false, |p| p.nan_loss_at(step))
-}
-#[cfg(not(feature = "fault-injection"))]
-fn fault_nan_loss(_g: &GuardConfig, _step: u64) -> bool {
-    false
-}
-#[cfg(feature = "fault-injection")]
-fn fault_nan_tensor(g: &GuardConfig, step: u64) -> Option<String> {
-    g.fault_plan
-        .as_ref()
-        .and_then(|p| p.nan_tensor_at(step).map(str::to_string))
-}
-#[cfg(not(feature = "fault-injection"))]
-fn fault_nan_tensor(_g: &GuardConfig, _step: u64) -> Option<String> {
-    None
-}
-#[cfg(feature = "fault-injection")]
-fn fault_cost_garbage(g: &GuardConfig, step: u64) -> Option<f32> {
-    g.fault_plan.as_ref().and_then(|p| p.cost_garbage_at(step))
-}
-#[cfg(not(feature = "fault-injection"))]
-fn fault_cost_garbage(_g: &GuardConfig, _step: u64) -> Option<f32> {
-    None
-}
-#[cfg(feature = "fault-injection")]
-fn fault_crash_after(g: &GuardConfig, epoch: usize) -> bool {
-    g.fault_plan
-        .as_ref()
-        .map_or(false, |p| p.crash_after(epoch))
-}
-#[cfg(not(feature = "fault-injection"))]
-fn fault_crash_after(_g: &GuardConfig, _epoch: usize) -> bool {
-    false
-}
-#[cfg(feature = "fault-injection")]
-fn fault_corrupt_checkpoint(g: &GuardConfig, epoch: usize, path: &std::path::Path) {
-    if g.fault_plan
-        .as_ref()
-        .map_or(false, |p| p.corrupt_checkpoint_at(epoch))
-    {
-        if let Err(e) = dance_guard::fault::FaultPlan::apply_corruption(path) {
-            eprintln!(
-                "dance-guard: fault injection could not corrupt {}: {e}",
-                path.display()
-            );
-        }
-    }
-}
-#[cfg(not(feature = "fault-injection"))]
-fn fault_corrupt_checkpoint(_g: &GuardConfig, _epoch: usize, _path: &std::path::Path) {}
-
 /// Writes a NaN into the first element of the named parameter (fault
 /// injection target; names follow the checkpoint keys `supernet.N` /
 /// `alpha.N`).
@@ -604,6 +549,7 @@ pub fn dance_search_traced(
         panic!("refusing to train: {report}");
     }
     let guard_on = dance_guard::enabled();
+    let faults = guard_cfg.fault_plan.as_ref().filter(|_| guard_on);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let train_batcher = Batcher::new(&data.train, cfg.batch_size);
     let val_batcher = Batcher::new(&data.val, cfg.batch_size);
@@ -723,11 +669,9 @@ pub fn dance_search_traced(
 
         for (step, tb) in train_batches.iter().enumerate() {
             // --- Weight step on the training split --------------------
-            if guard_on {
-                if let Some(target) = fault_nan_tensor(guard_cfg, global_step) {
-                    poison_named(&supernet_named, &target);
-                    poison_named(&alpha_named, &target);
-                }
+            if let Some(target) = faults.and_then(|f| f.nan_tensor_at(global_step)) {
+                poison_named(&supernet_named, target);
+                poison_named(&alpha_named, target);
             }
             let loss_val = {
                 let _step_span = dance_telemetry::hot_span!("search.weight_step");
@@ -735,7 +679,7 @@ pub fn dance_search_traced(
                 let logits = supernet.forward(&x, ForwardMode::Mixture(arch));
                 let loss = cross_entropy(&logits, &tb.y, cfg.label_smoothing);
                 let mut loss_val = loss.item();
-                if guard_on && fault_nan_loss(guard_cfg, global_step) {
+                if faults.is_some_and(|f| f.nan_loss_at(global_step)) {
                     loss_val = f32::NAN;
                 }
                 ce_sum += loss_val;
@@ -789,10 +733,10 @@ pub fn dance_search_traced(
                                 .map(|f| f.metrics_var(&arch.mixture_weights()))
                         } else {
                             let mut m = evaluator.predict_metrics(&arch.encode(), &mut rng);
-                            if guard_on {
-                                if let Some(garbage) = fault_cost_garbage(guard_cfg, arch_steps) {
-                                    m = Var::constant(Tensor::from_vec(vec![garbage; 3], &[1, 3]));
-                                }
+                            if let Some(garbage) =
+                                faults.and_then(|f| f.cost_garbage_at(arch_steps))
+                            {
+                                m = Var::constant(Tensor::from_vec(vec![garbage; 3], &[1, 3]));
                             }
                             if guard_on {
                                 let analytic = guard_cfg
@@ -937,7 +881,14 @@ pub fn dance_search_traced(
                         Ok(path) => {
                             report.checkpoints_written += 1;
                             dance_telemetry::counter!("guard.checkpoint.saved");
-                            fault_corrupt_checkpoint(guard_cfg, epoch, &path);
+                            if faults.is_some_and(|f| f.corrupt_checkpoint_at(epoch)) {
+                                if let Err(e) = FaultPlan::apply_corruption(&path) {
+                                    eprintln!(
+                                        "dance-guard: fault injection could not corrupt {}: {e}",
+                                        path.display()
+                                    );
+                                }
+                            }
                         }
                         // Checkpoint I/O failure must never abort a search.
                         Err(e) => eprintln!("dance-guard: checkpoint save failed: {e}"),
@@ -949,7 +900,7 @@ pub fn dance_search_traced(
         // Observer fires only after the epoch's checkpoint (if any) is on
         // disk — see `dance_search_traced`.
         on_epoch(history.last().expect("epoch stats pushed above"));
-        let crashed = guard_on && fault_crash_after(guard_cfg, epoch);
+        let crashed = faults.is_some_and(|f| f.crash_after(epoch));
         epoch += 1;
         if crashed {
             report.aborted_by_fault = true;

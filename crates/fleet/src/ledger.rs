@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use dance::prelude::{LambdaWarmup, SearchConfig};
 use dance_guard::checkpoint::atomic_write_text;
 use dance_guard::GuardReport;
 use dance_telemetry::json::{self, push_escaped, push_num, Json};
@@ -39,9 +40,9 @@ pub const KEEP_GENERATIONS: usize = 3;
 /// doubles as the idempotency key for submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSpec {
-    /// Search epochs (clamped to `1..=64` by the worker).
+    /// Search epochs, `1..=64`.
     pub epochs: u64,
-    /// Mini-batch size.
+    /// Mini-batch size, `2..=256`.
     pub batch: u64,
     /// Seed for the benchmark, supernet init and search RNG.
     pub seed: u64,
@@ -95,6 +96,30 @@ impl JobSpec {
         } else {
             fold(d, NO_PENALTY_WORD)
         }
+    }
+
+    /// The search this spec runs, with λ₂ ramped in over the first epoch.
+    ///
+    /// # Errors
+    ///
+    /// Names the field when epochs exceed the fleet's cap of 64 or the
+    /// batch its cap of 256, and otherwise passes on what
+    /// [`SearchConfig`]'s own validation refuses (zero epochs, a batch
+    /// below 2, a non-finite λ₂).
+    pub fn search_config(&self) -> Result<SearchConfig, String> {
+        let capped = |value: u64, cap: usize, field: &str| {
+            usize::try_from(value)
+                .ok()
+                .filter(|v| *v <= cap)
+                .ok_or_else(|| format!("{field} must be at most {cap}, got {value}"))
+        };
+        SearchConfig::builder()
+            .epochs(capped(self.epochs, 64, "epochs")?)
+            .batch_size(capped(self.batch, 256, "batch")?)
+            .lambda2(LambdaWarmup::ramp(self.lambda2(), 1))
+            .seed(self.seed)
+            .build()
+            .map_err(|e| e.to_string())
     }
 
     /// The job id derived from the spec digest (`fjob-<hex16>`).
@@ -441,9 +466,6 @@ fn get_num(j: &Json, key: &str) -> Result<u64, String> {
 pub struct LedgerStore {
     dir: PathBuf,
     next_gen: u64,
-    rewrites: u64,
-    #[cfg(feature = "fault-injection")]
-    fault: Option<dance_guard::fault::FaultPlan>,
 }
 
 impl LedgerStore {
@@ -458,9 +480,6 @@ impl LedgerStore {
         Ok(Self {
             dir: dir.to_path_buf(),
             next_gen: 0,
-            rewrites: 0,
-            #[cfg(feature = "fault-injection")]
-            fault: None,
         })
     }
 
@@ -510,19 +529,10 @@ impl LedgerStore {
             Self {
                 dir: dir.to_path_buf(),
                 next_gen,
-                rewrites: 0,
-                #[cfg(feature = "fault-injection")]
-                fault: None,
             },
             ledger,
             skipped,
         ))
-    }
-
-    /// Scripts process-level faults (torn ledger writes) into this store.
-    #[cfg(feature = "fault-injection")]
-    pub fn set_fault_plan(&mut self, plan: dance_guard::fault::FaultPlan) {
-        self.fault = Some(plan);
     }
 
     /// Atomically writes the next ledger generation and prunes old ones.
@@ -537,13 +547,6 @@ impl LedgerStore {
         atomic_write_text(&path, &ledger.render())?;
         self.next_gen += 1;
         dance_telemetry::counter!("fleet.ledger.saves");
-        #[cfg(feature = "fault-injection")]
-        if let Some(plan) = &self.fault {
-            if plan.torn_ledger_write_at(self.rewrites) {
-                dance_guard::fault::FaultPlan::apply_torn_write(&path)?;
-            }
-        }
-        self.rewrites += 1;
         // Prune: keep the newest KEEP_GENERATIONS generations.
         if self.next_gen > KEEP_GENERATIONS as u64 {
             let cutoff = self.next_gen - KEEP_GENERATIONS as u64;

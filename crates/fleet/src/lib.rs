@@ -34,10 +34,10 @@
 //! Submission is idempotent (the job id is the spec digest) and bounded by
 //! [`supervisor::FleetOpts::max_pending`].
 //!
-//! Chaos drills are first-class: `dance-guard`'s `FaultPlan` gains
-//! process-level faults (`KillWorker`, `StallHeartbeat`, `TornLedgerWrite`,
-//! `SlowPeer`), carried here as [`worker::AttemptChaos`] knobs, and a fleet
-//! of child workers can deliver a real `SIGKILL` mid-search.
+//! Chaos drills are first-class. [`worker::AttemptChaos`] scripts a job's
+//! first attempt to die, stall its heartbeat or run slow, on either
+//! transport, and a fleet of child workers can also deliver a real
+//! `SIGKILL` mid-search.
 
 pub mod lease;
 pub mod ledger;

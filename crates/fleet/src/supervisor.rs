@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use dance::prelude::{LambdaWarmup, SearchConfig};
 use dance_guard::GuardReport;
 
 use crate::lease::LeaseTable;
@@ -72,9 +71,6 @@ pub struct FleetOpts {
     /// Chaos drill for child workers: `SIGKILL` one running child once,
     /// this many ms after start. `None` runs clean.
     pub chaos_kill_after_ms: Option<u64>,
-    /// Torn-ledger-write script for the store (fault-injection builds).
-    #[cfg(feature = "fault-injection")]
-    pub fault_plan: Option<dance_guard::fault::FaultPlan>,
 }
 
 impl FleetOpts {
@@ -89,8 +85,6 @@ impl FleetOpts {
             chaos: AttemptChaos::default(),
             worker_exe: None,
             chaos_kill_after_ms: None,
-            #[cfg(feature = "fault-injection")]
-            fault_plan: None,
         }
     }
 
@@ -119,14 +113,6 @@ impl FleetOpts {
     #[must_use]
     pub fn with_chaos(mut self, chaos: AttemptChaos) -> Self {
         self.chaos = chaos;
-        self
-    }
-
-    /// Scripts ledger faults (torn generation writes).
-    #[cfg(feature = "fault-injection")]
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: dance_guard::fault::FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
         self
     }
 }
@@ -339,14 +325,9 @@ impl Fleet {
     ///
     /// Propagates ledger/checkpoint directory creation failures.
     pub fn start(opts: FleetOpts) -> io::Result<Self> {
-        #[allow(unused_mut)] // mut needed only with fault-injection
-        let (mut store, ledger, skipped) = LedgerStore::open(&opts.dir.join("ledger"))?;
+        let (store, ledger, skipped) = LedgerStore::open(&opts.dir.join("ledger"))?;
         if skipped > 0 {
             eprintln!("fleet: skipped {skipped} torn ledger generation(s) on recovery");
-        }
-        #[cfg(feature = "fault-injection")]
-        if let Some(plan) = opts.fault_plan.clone() {
-            store.set_fault_plan(plan);
         }
         let ckpt_root = opts.dir.join("ckpt");
         std::fs::create_dir_all(&ckpt_root)?;
@@ -413,13 +394,7 @@ impl Fleet {
     pub fn submit(&self, spec: JobSpec) -> Result<(String, bool), SubmitError> {
         // Validate the whole search configuration up front so a bad spec
         // fails at submission, not inside a worker thread.
-        SearchConfig::builder()
-            .epochs(usize::try_from(spec.epochs).unwrap_or(64).clamp(1, 64))
-            .batch_size(usize::try_from(spec.batch).unwrap_or(32).clamp(2, 256))
-            .lambda2(LambdaWarmup::ramp(spec.lambda2(), 1))
-            .seed(spec.seed)
-            .build()
-            .map_err(|e| SubmitError::Invalid(e.to_string()))?;
+        spec.search_config().map_err(SubmitError::Invalid)?;
         let out = {
             let mut core = self.shared.core();
             if !core.ledger.jobs.contains_key(&spec.job_id()) {
@@ -990,6 +965,46 @@ mod tests {
             .submit(JobSpec::new(2, 16, 1, f32::NAN))
             .expect_err("NaN lambda2 must be rejected");
         assert!(matches!(err, SubmitError::Invalid(_)), "{err:?}");
+        fleet.shutdown();
+        let _cleanup = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn out_of_range_epochs_and_batches_are_refused_not_clamped() {
+        let dir = tmp_dir("sup_range");
+        let fleet = Fleet::start(FleetOpts::new(dir.clone()).with_workers(1)).expect("start");
+        // Validation runs before the drain check, so a drained fleet
+        // answers `Draining` for exactly the specs it would accept.
+        fleet.drain();
+        // The caps are the fleet's; the lower bounds are `SearchConfig`'s.
+        for (epochs, batch, field) in [
+            (0, 16, "epochs"),
+            (65, 16, "epochs"),
+            (2, 1, "batch"),
+            (2, 257, "batch"),
+        ] {
+            let err = fleet
+                .submit(JobSpec::new(epochs, batch, 1, 0.1))
+                .expect_err("out-of-range spec must be refused");
+            assert!(
+                matches!(&err, SubmitError::Invalid(msg) if msg.contains(field)),
+                "{epochs}/{batch}: {err:?}"
+            );
+        }
+        for (epochs, batch) in [(1, 2), (64, 256)] {
+            let spec = JobSpec::new(epochs, batch, 1, 0.1);
+            assert_eq!(fleet.submit(spec), Err(SubmitError::Draining));
+        }
+        // A worker refuses what submission refuses, so an older ledger's
+        // out-of-range spec fails its job instead of running clamped.
+        let panic =
+            catch_unwind(|| run_job(&JobSpec::new(0, 16, 1, 0.1), &dir, false, &mut |_| {}))
+                .expect_err("run_job must refuse epochs 0");
+        let msg = panic_message(panic.as_ref());
+        assert!(
+            msg.contains("invalid `epochs`: must be at least 1"),
+            "{msg}"
+        );
         fleet.shutdown();
         let _cleanup = std::fs::remove_dir_all(&dir);
     }

@@ -21,18 +21,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use dance::prelude::{
-    dance_search_traced, ArchParams, Benchmark, CheckpointConfig, GuardConfig, LambdaWarmup,
-    Penalty, SearchConfig, Supernet,
+    dance_search_traced, ArchParams, Benchmark, CheckpointConfig, GuardConfig, Penalty, Supernet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::ledger::{JobResult, JobSpec};
 
-/// Scripted misbehavior for one attempt — the process-level half of
-/// `dance-guard`'s `FaultPlan`, carried as plain knobs so the worker binary
-/// and the in-process pool can drill recovery without compile-time feature
-/// gymnastics at every call site.
+/// Scripted misbehavior for one attempt: the fleet's one per-attempt fault
+/// script. A thread attempt applies it in its heartbeat hook, and a child
+/// gets it as `--kill-after`, `--stall-from` and `--slow-ms`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AttemptChaos {
     /// Die (no unwind, exit code 9) right after this epoch's heartbeat.
@@ -43,25 +41,6 @@ pub struct AttemptChaos {
     pub slow_ms: Option<u64>,
 }
 
-impl AttemptChaos {
-    /// Whether nothing is scripted.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        *self == Self::default()
-    }
-
-    /// Extracts the process-level faults from a guard [`FaultPlan`].
-    #[cfg(feature = "fault-injection")]
-    #[must_use]
-    pub fn from_plan(plan: &dance_guard::fault::FaultPlan) -> Self {
-        Self {
-            kill_after: plan.kill_worker_after(),
-            stall_from: plan.stall_heartbeat_from(),
-            slow_ms: plan.slow_peer_ms(),
-        }
-    }
-}
-
 /// Runs one attempt of `spec`, checkpointing every epoch under
 /// `ckpt_dir` and (when `resume` is set) resuming from the latest good
 /// checkpoint there. `on_epoch` fires after each epoch's checkpoint is
@@ -69,22 +48,19 @@ impl AttemptChaos {
 ///
 /// # Panics
 ///
-/// Panics if the spec fails [`SearchConfig`] validation (the supervisor
-/// validates at submission time, so this indicates a caller bug) and under
-/// the same conditions as `dance_search_guarded`.
+/// Panics with the [`JobSpec::search_config`] error when the spec is out of
+/// range, which fails the job on either transport (the supervisor refuses
+/// such specs at submission, so only an older ledger's can get here), and
+/// under the same conditions as `dance_search_guarded`.
 pub fn run_job(
     spec: &JobSpec,
     ckpt_dir: &Path,
     resume: bool,
     on_epoch: &mut dyn FnMut(usize),
 ) -> JobResult {
-    let cfg = SearchConfig::builder()
-        .epochs(usize::try_from(spec.epochs).unwrap_or(64).clamp(1, 64))
-        .batch_size(usize::try_from(spec.batch).unwrap_or(32).clamp(2, 256))
-        .lambda2(LambdaWarmup::ramp(spec.lambda2(), 1))
-        .seed(spec.seed)
-        .build()
-        .expect("fleet job spec failed validation after submission");
+    let cfg = spec
+        .search_config()
+        .unwrap_or_else(|e| panic!("invalid job spec: {e}"));
     let bench = Benchmark::tiny(cfg.seed);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let net = Supernet::new(bench.supernet, &mut rng);

@@ -4,9 +4,14 @@
 //! long search — and a recovery path that has never fired is a recovery
 //! path that does not work. A [`FaultPlan`] scripts failures at exact
 //! steps/epochs so tests drive the *same* rollback, skip-corrupt-checkpoint
-//! and degrade-to-analytical machinery that production trips would. The
-//! module only exists under `#[cfg(any(test, feature = "fault-injection"))]`;
-//! release builds of the stack carry none of it.
+//! and degrade-to-analytical machinery that production trips would.
+//!
+//! A plan is runtime data that
+//! [`GuardConfig::fault_plan`](crate::GuardConfig::fault_plan) carries into
+//! a search. It is `None` unless a test sets it, so a run without a plan
+//! pays one `Option` check per hook. Per-attempt process faults (kill a
+//! worker, stall its heartbeat, slow it down) are scripted by
+//! `dance-fleet`'s `AttemptChaos`, not here.
 
 use std::fs;
 use std::io;
@@ -46,34 +51,6 @@ pub enum Fault {
     CrashAfterEpoch {
         /// Last epoch allowed to finish.
         epoch: usize,
-    },
-    /// Kill one fleet worker dead after it finishes `epoch` — no unwind, no
-    /// cleanup, exactly what SIGKILL does to a process. The job's lease
-    /// expires and the supervisor must hand the job to another worker.
-    KillWorker {
-        /// Last epoch the doomed worker completes.
-        epoch: usize,
-    },
-    /// From `epoch` on, the worker keeps computing but stops renewing its
-    /// lease (a wedged heartbeat thread). The supervisor reclaims the job;
-    /// the stalled worker's late result must be fenced off and discarded.
-    StallHeartbeat {
-        /// First epoch whose heartbeat goes missing.
-        epoch: usize,
-    },
-    /// Tear the `rewrite`-th ledger generation mid-write: the file exists
-    /// but holds only a prefix of the document, as a crash between `write`
-    /// and `rename` would leave it. Recovery must fall back a generation.
-    TornLedgerWrite {
-        /// Zero-based index of the ledger rewrite to tear.
-        rewrite: u64,
-    },
-    /// Slow one worker down by `delay_ms` per epoch without killing it.
-    /// Heartbeats keep flowing, so the lease must *not* be reclaimed — this
-    /// fault exists to prove the supervisor tolerates slow-but-alive peers.
-    SlowPeer {
-        /// Extra milliseconds injected per epoch.
-        delay_ms: u64,
     },
 }
 
@@ -138,37 +115,6 @@ impl FaultPlan {
             .any(|f| matches!(f, Fault::CrashAfterEpoch { epoch: e } if *e == epoch))
     }
 
-    /// The epoch after which the worker should drop dead, if scripted.
-    pub fn kill_worker_after(&self) -> Option<usize> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::KillWorker { epoch } => Some(*epoch),
-            _ => None,
-        })
-    }
-
-    /// The first epoch whose heartbeat should go missing, if scripted.
-    pub fn stall_heartbeat_from(&self) -> Option<usize> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::StallHeartbeat { epoch } => Some(*epoch),
-            _ => None,
-        })
-    }
-
-    /// Whether the `rewrite`-th ledger save should be torn mid-write.
-    pub fn torn_ledger_write_at(&self, rewrite: u64) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, Fault::TornLedgerWrite { rewrite: r } if *r == rewrite))
-    }
-
-    /// The per-epoch delay for a scripted slow peer, if any.
-    pub fn slow_peer_ms(&self) -> Option<u64> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::SlowPeer { delay_ms } => Some(*delay_ms),
-            _ => None,
-        })
-    }
-
     /// Destroys a checkpoint file the way a crash mid-write would: the
     /// header survives, the payload is truncated garbage.
     ///
@@ -177,18 +123,6 @@ impl FaultPlan {
     /// Returns any I/O error from rewriting the file.
     pub fn apply_corruption(path: &Path) -> io::Result<()> {
         fs::write(path, "dance-tensors v1\ntruncated-by-fault-injection")
-    }
-
-    /// Tears a just-written ledger (or any text) file the way a crash
-    /// between `write` and `rename` would: the file keeps only the first
-    /// half of its bytes, so it parses as garbage but still exists.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from reading or rewriting the file.
-    pub fn apply_torn_write(path: &Path) -> io::Result<()> {
-        let bytes = fs::read(path)?;
-        fs::write(path, &bytes[..bytes.len() / 2])
     }
 }
 
@@ -235,34 +169,6 @@ mod tests {
             assert!(plan.cost_garbage_at(step).is_none());
         }
         assert!(!plan.crash_after(0));
-        assert!(plan.kill_worker_after().is_none());
-        assert!(plan.stall_heartbeat_from().is_none());
-        assert!(!plan.torn_ledger_write_at(0));
-        assert!(plan.slow_peer_ms().is_none());
-    }
-
-    #[test]
-    fn process_faults_answer_their_queries() {
-        let plan = FaultPlan::new()
-            .with(Fault::KillWorker { epoch: 2 })
-            .with(Fault::StallHeartbeat { epoch: 3 })
-            .with(Fault::TornLedgerWrite { rewrite: 5 })
-            .with(Fault::SlowPeer { delay_ms: 40 });
-        assert_eq!(plan.kill_worker_after(), Some(2));
-        assert_eq!(plan.stall_heartbeat_from(), Some(3));
-        assert!(plan.torn_ledger_write_at(5));
-        assert!(!plan.torn_ledger_write_at(4));
-        assert_eq!(plan.slow_peer_ms(), Some(40));
-    }
-
-    #[test]
-    fn torn_write_keeps_only_a_prefix() {
-        let path =
-            std::env::temp_dir().join(format!("dance_guard_torn_{}.json", std::process::id()));
-        fs::write(&path, "0123456789").expect("seed file");
-        FaultPlan::apply_torn_write(&path).expect("tear file");
-        assert_eq!(fs::read(&path).expect("read torn"), b"01234");
-        let _cleanup = fs::remove_file(&path);
     }
 
     #[test]

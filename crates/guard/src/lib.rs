@@ -18,9 +18,9 @@
 //! 3. **Graceful cost-model degradation** ([`degrade`]): when the learned
 //!    cost net emits non-finite or out-of-envelope values, the search
 //!    swaps in a differentiable analytical surrogate instead of aborting.
-//! 4. **Fault injection** (`fault`, behind `--features fault-injection`):
-//!    a deterministic `FaultPlan` that exercises every recovery path above
-//!    in tests rather than trusting them.
+//! 4. **Fault injection** ([`fault`]): a deterministic
+//!    [`fault::FaultPlan`] that exercises every recovery path above in
+//!    tests rather than trusting them.
 //!
 //! Every guard site in the hot path is gated on [`enabled()`], so
 //! `DANCE_GUARD=off` reduces the whole subsystem to one branch on a cached
@@ -28,7 +28,6 @@
 
 pub mod checkpoint;
 pub mod degrade;
-#[cfg(any(test, feature = "fault-injection"))]
 pub mod fault;
 pub mod watchdog;
 
@@ -96,7 +95,6 @@ pub struct GuardConfig {
     /// misbehaves. Without it, degradation drops the HW term instead.
     pub cost_fallback: Option<AnalyticCostModel>,
     /// Deterministic faults to inject, for exercising the recovery paths.
-    #[cfg(feature = "fault-injection")]
     pub fault_plan: Option<fault::FaultPlan>,
 }
 
@@ -110,7 +108,6 @@ impl Default for GuardConfig {
             rollback_arch_lr_decay: 0.5,
             cost_envelope: 100.0,
             cost_fallback: None,
-            #[cfg(feature = "fault-injection")]
             fault_plan: None,
         }
     }

@@ -80,10 +80,6 @@ cargo test -q --release -p dance-campaign
 cargo test -q --release --test campaign_run
 cargo test -q --release --test campaign_resume
 
-echo "== guard fault-injection suite =="
-cargo test -q --release -p dance-guard --features fault-injection
-cargo test -q --release --features fault-injection --test guard_faults
-
 # Frozen plans: the plan-vs-tape proptests run at both thread counts as part
 # of the workspace suite above; this pins the artifact-integrity sweep and
 # the crate's own tests explicitly.
@@ -96,7 +92,6 @@ cargo test -q --release -p dance-fleet
 cargo test -q --release --test fleet_recovery
 cargo test -q --release --test fleet_process
 cargo test -q --release --test torn_checkpoint
-cargo test -q --release --features fault-injection --test fleet_faults
 
 # Process-level chaos drill: run the same job set straight and with one
 # worker SIGKILLed mid-run; the per-job arch-digest lines must be identical.

@@ -89,16 +89,19 @@ fn stalled_heartbeat_is_fenced_and_the_job_still_lands() {
 
     // Stop heartbeating after epoch 1 while slowing each epoch enough that
     // the remaining work outlives the lease — the supervisor must reclaim,
-    // re-dispatch, and fence off whatever the zombie attempt reports.
+    // re-dispatch, and fence off whatever the zombie attempt reports. The
+    // zombie is only fenced if its epoch-0 renewal (epoch 0 plus one slow
+    // sleep) lands inside the TTL, so the TTL leaves epoch 0 a 900 ms
+    // budget, while the three stalled slow epochs still outlast it.
     let chaos = AttemptChaos {
         kill_after: None,
         stall_from: Some(1),
-        slow_ms: Some(150),
+        slow_ms: Some(600),
     };
     let fleet = Fleet::start(
         FleetOpts::new(dir.clone())
             .with_workers(2)
-            .with_lease_ttl_ms(300)
+            .with_lease_ttl_ms(1_500)
             .with_chaos(chaos),
     )
     .expect("fleet starts");

@@ -1,8 +1,7 @@
 //! Fault-injection suite: drives every dance-guard recovery path with
-//! scripted faults and asserts the search survives them.
-//!
-//! Build with `cargo test --features fault-injection --test guard_faults`.
-#![cfg(feature = "fault-injection")]
+//! scripted faults and asserts the search survives them, and pins that a
+//! plan which never fires leaves the search, and its checkpoints,
+//! bit-identical at every hook.
 
 use std::path::PathBuf;
 
@@ -68,6 +67,16 @@ fn run_with_penalty(epochs: usize, guard: &GuardConfig, penalty: &Penalty<'_>) -
     let arch = ArchParams::new(net.num_slots(), &mut rng);
     let data = tiny_task();
     dance_search_guarded(&net, &arch, &data, penalty, &cfg, guard)
+}
+
+/// An untrained evaluator: enough to drive the evaluator penalty's arch
+/// step, whose cost output these tests override or only compare.
+fn untrained_evaluator() -> Evaluator {
+    let mut eval_rng = StdRng::seed_from_u64(99);
+    let arch_width = 9 * 7;
+    let hwgen = HwGenNet::new(arch_width, 16, &mut eval_rng);
+    let cost_net = CostNet::new(arch_width, 16, &mut eval_rng);
+    Evaluator::without_feature_forwarding(hwgen, cost_net, arch_width)
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -190,11 +199,7 @@ fn garbage_cost_net_output_degrades_to_the_analytic_fallback() {
     let net = Supernet::new(tiny_config(), &mut rng);
     let arch = ArchParams::new(net.num_slots(), &mut rng);
     let data = tiny_task();
-    let mut eval_rng = StdRng::seed_from_u64(99);
-    let arch_width = 9 * 7;
-    let hwgen = HwGenNet::new(arch_width, 16, &mut eval_rng);
-    let cost_net = CostNet::new(arch_width, 16, &mut eval_rng);
-    let evaluator = Evaluator::without_feature_forwarding(hwgen, cost_net, arch_width);
+    let evaluator = untrained_evaluator();
     let penalty = Penalty::Evaluator {
         evaluator: &evaluator,
         cost_fn: CostFunction::Edap,
@@ -226,4 +231,76 @@ fn garbage_cost_net_output_degrades_to_the_analytic_fallback() {
         assert!(stats.hw_cost.is_finite());
         assert!(stats.hw_cost > 0.0, "fallback HW term should contribute");
     }
+}
+
+#[test]
+fn a_plan_that_never_fires_leaves_the_search_bit_identical() {
+    let with_plan = |fault_plan| {
+        run(
+            3,
+            &GuardConfig {
+                fault_plan,
+                ..GuardConfig::default()
+            },
+        )
+    };
+    let bare = with_plan(None);
+    let empty = with_plan(Some(FaultPlan::new()));
+    let late = with_plan(Some(
+        FaultPlan::new()
+            .with(Fault::NanLoss { step: 10_000 })
+            .with(Fault::CrashAfterEpoch { epoch: 99 }),
+    ));
+    for out in [&empty, &late] {
+        assert_eq!(prob_bits(out), prob_bits(&bare));
+        assert_eq!(out.history, bare.history);
+        assert_eq!(out.guard, bare.guard);
+    }
+
+    // The cost-garbage hook sits in the evaluator penalty's arch step and
+    // the corruption hook in checkpoint save, so this case reaches both,
+    // again with a plan scripted past the run's end.
+    let evaluator = untrained_evaluator();
+    let penalty = Penalty::Evaluator {
+        evaluator: &evaluator,
+        cost_fn: CostFunction::Edap,
+        reference: 1.0,
+    };
+    let checkpointed = |name: &str, fault_plan| {
+        let dir = temp_dir(name);
+        let _fresh = std::fs::remove_dir_all(&dir);
+        let guard = GuardConfig {
+            checkpoint: Some(CheckpointConfig::every_epoch(dir.clone())),
+            fault_plan,
+            ..GuardConfig::default()
+        };
+        (run_with_penalty(3, &guard, &penalty), dir)
+    };
+    let (bare, bare_dir) = checkpointed("inert_bare", None);
+    let (late, late_dir) = checkpointed(
+        "inert_late",
+        Some(
+            FaultPlan::new()
+                .with(Fault::CostGarbage {
+                    from_step: 10_000,
+                    value: f32::NAN,
+                })
+                .with(Fault::CorruptCheckpoint { epoch: 99 }),
+        ),
+    );
+    assert!(
+        !bare.guard.cost_model_degraded,
+        "the evaluator must stay live, so every arch step asks the plan"
+    );
+    assert_eq!(bare.guard.checkpoints_written, 3);
+    assert_eq!(prob_bits(&late), prob_bits(&bare));
+    assert_eq!(late.history, bare.history);
+    assert_eq!(late.guard, bare.guard);
+    for epoch in 0..3 {
+        let name = format!("epoch-{epoch:04}.ckpt");
+        let read = |dir: &PathBuf| std::fs::read(dir.join(&name)).expect("checkpoint written");
+        assert_eq!(read(&late_dir), read(&bare_dir), "{name} differs");
+    }
+    let _cleanup = std::fs::remove_dir_all(&bare_dir);
+    let _cleanup = std::fs::remove_dir_all(&late_dir);
 }

@@ -2,9 +2,9 @@
 //! reproduce the uninterrupted run bit for bit — same final architecture
 //! parameters, same loss trajectory.
 //!
-//! No fault-injection feature needed: the "crash" is simulated by deleting
-//! the checkpoints written after the cut point and resuming from what's
-//! left, exactly what a killed process leaves on disk.
+//! No fault plan needed: the "crash" is simulated by deleting the
+//! checkpoints written after the cut point and resuming from what's left,
+//! exactly what a killed process leaves on disk.
 
 use std::path::PathBuf;
 

@@ -5,7 +5,7 @@
 //!
 //! Checkpoint saves are atomic temp+rename, so a torn file models disk
 //! corruption or a copied/partial file — exactly what the fleet's
-//! `TornLedgerWrite` chaos drills simulate at the ledger layer.
+//! torn-ledger drill (`tests/fleet_faults.rs`) does at the ledger layer.
 
 use std::fs;
 use std::path::PathBuf;
