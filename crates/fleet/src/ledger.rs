@@ -37,7 +37,9 @@ pub const KEEP_GENERATIONS: usize = 3;
 
 /// What one search job should run. The spec fully determines the search
 /// (the worker derives benchmark, supernet and RNG from it), so its digest
-/// doubles as the idempotency key for submission.
+/// doubles as the idempotency key for submission. The ledger and a worker
+/// child's `--spec` both carry it, written by [`JobSpec::render_fields`]
+/// and read back by [`JobSpec::parse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobSpec {
     /// Search epochs, `1..=64`.
@@ -126,6 +128,39 @@ impl JobSpec {
     #[must_use]
     pub fn job_id(&self) -> String {
         format!("fjob-{:016x}", self.digest())
+    }
+
+    /// Appends the spec as `,"key":value` pairs: `epochs`, `batch`, `seed`
+    /// and `lambda2` (the last two as hex, so they are exact), and
+    /// `"penalty":"none"` when the FLOPs penalty is off.
+    pub fn render_fields(&self, out: &mut String) {
+        out.push_str(",\"epochs\":");
+        push_num(out, self.epochs as f64);
+        out.push_str(",\"batch\":");
+        push_num(out, self.batch as f64);
+        out.push_str(",\"seed\":");
+        push_hex(out, self.seed);
+        out.push_str(",\"lambda2\":");
+        push_hex(out, u64::from(self.lambda2_bits));
+        if !self.flops_penalty {
+            out.push_str(",\"penalty\":\"none\"");
+        }
+    }
+
+    /// Reads back what [`JobSpec::render_fields`] wrote into `j`. A record
+    /// without `penalty` carries the FLOPs penalty.
+    ///
+    /// # Errors
+    ///
+    /// Names the first missing or malformed field.
+    pub fn parse(j: &Json) -> Result<Self, String> {
+        Ok(Self {
+            epochs: get_num(j, "epochs")?,
+            batch: get_num(j, "batch")?,
+            seed: get_hex(j, "seed")?,
+            lambda2_bits: get_hex32(j, "lambda2")?,
+            flops_penalty: j.get("penalty").and_then(Json::as_str) != Some("none"),
+        })
     }
 }
 
@@ -337,17 +372,7 @@ impl Ledger {
             }
             out.push_str("{\"id\":");
             push_escaped(&mut out, id);
-            out.push_str(",\"epochs\":");
-            push_num(&mut out, r.spec.epochs as f64);
-            out.push_str(",\"batch\":");
-            push_num(&mut out, r.spec.batch as f64);
-            out.push_str(",\"seed\":");
-            push_hex(&mut out, r.spec.seed);
-            out.push_str(",\"lambda2\":");
-            push_hex(&mut out, u64::from(r.spec.lambda2_bits));
-            if !r.spec.flops_penalty {
-                out.push_str(",\"penalty\":\"none\"");
-            }
+            r.spec.render_fields(&mut out);
             out.push_str(",\"attempt\":");
             push_num(&mut out, r.attempt as f64);
             out.push_str(",\"status\":");
@@ -397,13 +422,7 @@ impl Ledger {
                 .and_then(Json::as_str)
                 .ok_or("job missing id")?
                 .to_string();
-            let spec = JobSpec {
-                epochs: get_num(j, "epochs")?,
-                batch: get_num(j, "batch")?,
-                seed: get_hex(j, "seed")?,
-                lambda2_bits: get_hex32(j, "lambda2")?,
-                flops_penalty: j.get("penalty").and_then(Json::as_str) != Some("none"),
-            };
+            let spec = JobSpec::parse(j)?;
             let attempt = get_num(j, "attempt")?;
             let status = match j.get("status").and_then(Json::as_str) {
                 // A lease is an in-memory claim; reloads revert it.
@@ -678,6 +697,44 @@ mod tests {
             })
         );
         assert_eq!(l.jobs["fjob-7906a24f94a2d4d5"].status, JobStatus::Pending);
+    }
+
+    #[test]
+    fn a_generation_rendered_before_the_spec_codec_reads_back_byte_for_byte() {
+        // Written by the build whose ledger rendered spec fields inline: a
+        // plain and a penalised done job, a failed job at the largest seed
+        // and a pending job at seed 2^60.
+        let text = concat!(
+            r#"{"v":1,"jobs":[{"id":"fjob-0be7d899efb793c9","epochs":2,"batch":32,"#,
+            r#""seed":"0000000000000007","lambda2":"000000003dcccccd","penalty":"none","#,
+            r#""attempt":1,"status":"done","digest":"ba5a53b3294e819f","ran":2,"#,
+            r#""choices":[0,0,0,0,0,0,0,0,0],"guard":{"watchdog_trips":1,"rollbacks":0,"#,
+            r#""cost_model_degraded":true,"checkpoints_written":2}},"#,
+            r#"{"id":"fjob-5df6a14915339fff","epochs":2,"batch":32,"#,
+            r#""seed":"0000000000000007","lambda2":"000000003dcccccd","#,
+            r#""attempt":2,"status":"done","digest":"68ad21587d07401d","ran":2,"#,
+            r#""choices":[5,6,4,2,6,6,2,1,2],"entropy":"000000003ff8f14e","#,
+            r#""guard":{"watchdog_trips":0,"rollbacks":1,"cost_model_degraded":false,"#,
+            r#""checkpoints_written":2,"resumed_from_epoch":1}},"#,
+            r#"{"id":"fjob-695cb664dddcede7","epochs":3,"batch":64,"#,
+            r#""seed":"ffffffffffffffff","lambda2":"0000000000000000","penalty":"none","#,
+            r#""attempt":3,"status":"failed","error":"worker panicked: \"boom\""},"#,
+            r#"{"id":"fjob-6a3c7c76c210df53","epochs":4,"batch":16,"#,
+            r#""seed":"1000000000000000","lambda2":"000000003e99999a","#,
+            r#""attempt":1,"status":"pending"}]}"#,
+        );
+        let l = Ledger::parse(text).expect("the generation parses");
+        assert_eq!(l.render(), text, "re-rendered byte for byte");
+        let plain = JobSpec {
+            flops_penalty: false,
+            ..JobSpec::new(2, 32, 7, 0.1)
+        };
+        assert_eq!(l.jobs["fjob-0be7d899efb793c9"].spec, plain);
+        assert_eq!(
+            l.jobs["fjob-6a3c7c76c210df53"].spec,
+            JobSpec::new(4, 16, 1 << 60, 0.3)
+        );
+        assert_eq!(l.jobs["fjob-695cb664dddcede7"].spec.seed, u64::MAX);
     }
 
     #[test]

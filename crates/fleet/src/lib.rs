@@ -25,12 +25,15 @@
 //!
 //! One supervisor drives those pieces: [`supervisor::Fleet`] claims jobs on
 //! worker threads and runs each attempt over one of two transports — on
-//! the worker thread itself (what `dance-serve` mounts behind both its
-//! `search/*` and `fleet/*` endpoints, as its only search executor), or as
-//! a `--worker` child process spawned through [`process`] (what the
-//! `dance_fleet` binary and the SIGKILL chaos drills use). Claim, renewal,
-//! fenced completion and reclaim are written once, so the transports
-//! differ only in how an attempt runs and how its death is seen.
+//! the worker thread itself (what `dance-serve` mounts behind its
+//! `fleet/*` endpoints, as its only search executor), or as a `--worker`
+//! child process spawned through [`process`] (what the `dance_fleet`
+//! binary and the SIGKILL chaos drills use). Claim, renewal, fenced
+//! completion and reclaim are written once, so the transports differ only
+//! in how an attempt runs and how its death is seen. A spec has one codec,
+//! [`ledger::JobSpec::render_fields`] and [`ledger::JobSpec::parse`]: the
+//! ledger stores what they write, and a child gets the same fields as
+//! `--spec '<JSON>'` beside `--ckpt`, `--resume` and its chaos flags.
 //! Submission is idempotent (the job id is the spec digest) and bounded by
 //! [`supervisor::FleetOpts::max_pending`].
 //!

@@ -3,7 +3,7 @@
 //!
 //! Each attempt runs on the worker thread that claimed it. Without
 //! [`FleetOpts::worker_exe`] (what `dance-serve` mounts behind its
-//! `search/*` and `fleet/*` endpoints and what the recovery tests drill)
+//! `fleet/*` endpoints and what the recovery tests drill)
 //! the thread calls [`crate::worker::run_job`] itself, and a "killed"
 //! worker is a thread that abandons its attempt without releasing the
 //! lease, so the sweep reclaims it on expiry. With `worker_exe` set (the

@@ -11,9 +11,12 @@
 //! checkpoint is durable, which is what makes a heartbeat an honest claim:
 //! "everything up to here survives my death."
 //!
-//! The process entry point ([`worker_main`]) speaks v1 NDJSON on stdout —
-//! `hb` / `done` / `failed` events — and exits nonzero on failure. Chaos
-//! knobs ([`AttemptChaos`]) script the drills: die after an epoch, stop
+//! The process entry point ([`worker_main`]) takes its job as
+//! `--spec '<JSON>'`, the spec fields the ledger stores, written and read
+//! by the same [`JobSpec`] codec, plus `--ckpt`, `--resume` and the chaos
+//! flags ([`WorkerArgs`]). It speaks v1 NDJSON on stdout — `hb` / `done` /
+//! `failed` events — and exits nonzero on failure. Chaos knobs
+//! ([`AttemptChaos`]) script the drills: die after an epoch, stop
 //! heartbeating, or run slow while staying alive.
 
 use std::io::Write as _;
@@ -23,6 +26,7 @@ use std::path::{Path, PathBuf};
 use dance::prelude::{
     dance_search_traced, ArchParams, Benchmark, CheckpointConfig, GuardConfig, Penalty, Supernet,
 };
+use dance_telemetry::json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -95,7 +99,8 @@ pub fn run_job(
     }
 }
 
-/// Parsed `dance_fleet --worker` command line.
+/// Parsed `dance_fleet --worker` command line: `--spec`, `--ckpt`,
+/// `--resume`, `--kill-after`, `--stall-from` and `--slow-ms`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerArgs {
     /// The job to run.
@@ -115,11 +120,7 @@ impl WorkerArgs {
     ///
     /// Returns a usage-style message naming the first bad or missing flag.
     pub fn parse(argv: &[String]) -> Result<Self, String> {
-        let mut epochs = 4u64;
-        let mut batch = 32u64;
-        let mut seed = 0u64;
-        let mut lambda2_bits = 0.1f32.to_bits();
-        let mut flops_penalty = true;
+        let mut spec: Option<JobSpec> = None;
         let mut ckpt: Option<PathBuf> = None;
         let mut resume = false;
         let mut chaos = AttemptChaos::default();
@@ -129,15 +130,11 @@ impl WorkerArgs {
                 it.next().ok_or_else(|| format!("missing value for {flag}"))
             };
             match flag.as_str() {
-                "--epochs" => epochs = parse_num(value("--epochs")?, "--epochs")?,
-                "--batch" => batch = parse_num(value("--batch")?, "--batch")?,
-                "--seed" => seed = parse_num(value("--seed")?, "--seed")?,
-                "--lambda2-bits" => {
-                    let s = value("--lambda2-bits")?;
-                    lambda2_bits = u32::from_str_radix(s, 16)
-                        .map_err(|_| format!("bad hex value {s:?} for --lambda2-bits"))?;
+                "--spec" => {
+                    let s = value("--spec")?;
+                    let parsed = json::parse(s).and_then(|doc| JobSpec::parse(&doc));
+                    spec = Some(parsed.map_err(|e| format!("bad --spec {s:?}: {e}"))?);
                 }
-                "--no-penalty" => flops_penalty = false,
                 "--ckpt" => ckpt = Some(PathBuf::from(value("--ckpt")?)),
                 "--resume" => resume = true,
                 "--kill-after" => {
@@ -151,13 +148,7 @@ impl WorkerArgs {
             }
         }
         Ok(Self {
-            spec: JobSpec {
-                epochs,
-                batch,
-                seed,
-                lambda2_bits,
-                flops_penalty,
-            },
+            spec: spec.ok_or("--spec is required")?,
             ckpt: ckpt.ok_or("--ckpt is required")?,
             resume,
             chaos,
@@ -166,23 +157,17 @@ impl WorkerArgs {
 
     /// Renders this invocation back into child-process arguments —
     /// the inverse of [`WorkerArgs::parse`], used to spawn a worker child.
+    /// The spec travels as one JSON object of [`JobSpec::render_fields`].
     #[must_use]
     pub fn to_argv(&self) -> Vec<String> {
+        let mut spec = String::new();
+        self.spec.render_fields(&mut spec);
         let mut argv = vec![
-            "--epochs".to_string(),
-            self.spec.epochs.to_string(),
-            "--batch".to_string(),
-            self.spec.batch.to_string(),
-            "--seed".to_string(),
-            self.spec.seed.to_string(),
-            "--lambda2-bits".to_string(),
-            format!("{:08x}", self.spec.lambda2_bits),
+            "--spec".to_string(),
+            format!("{{{}}}", spec.trim_start_matches(',')),
             "--ckpt".to_string(),
             self.ckpt.to_string_lossy().into_owned(),
         ];
-        if !self.spec.flops_penalty {
-            argv.push("--no-penalty".to_string());
-        }
         if self.resume {
             argv.push("--resume".to_string());
         }
@@ -256,7 +241,7 @@ pub fn worker_main(argv: &[String]) -> i32 {
         Err(panic) => {
             let msg = panic_message(panic.as_ref());
             let mut line = format!("{{\"v\":1,\"event\":\"failed\",\"job\":\"{id}\",\"error\":");
-            dance_telemetry::json::push_escaped(&mut line, &msg);
+            json::push_escaped(&mut line, &msg);
             line.push('}');
             emit_line(&line);
             1
@@ -313,18 +298,25 @@ mod tests {
     }
 
     #[test]
-    fn worker_args_carry_a_spec_without_the_penalty() {
+    fn worker_args_carry_a_spec_exactly() {
+        // Unlike a JSON number on the wire, the hex seed survives past 2^53.
         let args = WorkerArgs {
             spec: JobSpec {
                 flops_penalty: false,
-                ..JobSpec::new(2, 32, 7, 0.1)
+                ..JobSpec::new(2, 32, 1 << 60, 0.1)
             },
             ckpt: PathBuf::from("/tmp/ckpt/fjob-y"),
             resume: false,
             chaos: AttemptChaos::default(),
         };
         let argv = args.to_argv();
-        assert!(argv.contains(&"--no-penalty".to_string()));
+        assert_eq!(
+            argv[..2],
+            [
+                "--spec",
+                r#"{"epochs":2,"batch":32,"seed":"1000000000000000","lambda2":"000000003dcccccd","penalty":"none"}"#
+            ]
+        );
         assert_eq!(WorkerArgs::parse(&argv).expect("argv parses"), args);
     }
 
@@ -334,11 +326,16 @@ mod tests {
             let argv: Vec<String> = argv.iter().map(ToString::to_string).collect();
             WorkerArgs::parse(&argv).expect_err("must reject")
         };
-        assert!(bad(&["--epochs"]).contains("missing value"));
-        assert!(bad(&["--epochs", "x", "--ckpt", "/tmp/c"]).contains("bad value"));
+        let spec =
+            r#"{"epochs":2,"batch":32,"seed":"0000000000000007","lambda2":"000000003dcccccd"}"#;
+        assert!(bad(&["--spec"]).contains("missing value"));
+        assert!(bad(&["--spec", "x", "--ckpt", "/tmp/c"]).contains("bad --spec"));
+        assert!(bad(&["--spec", r#"{"epochs":2}"#, "--ckpt", "/tmp/c"]).contains("bad --spec"));
         assert!(bad(&["--wat"]).contains("unknown worker flag"));
-        assert!(bad(&["--epochs", "2"]).contains("--ckpt is required"));
-        assert!(bad(&["--lambda2-bits", "zz", "--ckpt", "/tmp/c"]).contains("bad hex"));
+        assert!(bad(&["--epochs", "2"]).contains("unknown worker flag"));
+        assert!(bad(&["--ckpt", "/tmp/c"]).contains("--spec is required"));
+        assert!(bad(&["--spec", spec]).contains("--ckpt is required"));
+        assert!(bad(&["--spec", spec, "--ckpt", "/tmp/c", "--slow-ms", "x"]).contains("bad value"));
     }
 
     #[test]

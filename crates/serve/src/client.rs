@@ -18,8 +18,8 @@
 //! backoff under a total budget, with safe-to-retry classification —
 //! transport failures and `503` (shed work, never started) retry;
 //! `400`/`404`/`500` never do. Callers must only hand it idempotent
-//! requests (cost queries, and `search/submit` and `fleet/submit`, whose
-//! job id is the spec digest); blind retries of non-idempotent ops like
+//! requests (cost queries, and `fleet/submit`, whose job id is the spec
+//! digest); blind retries of non-idempotent ops like
 //! `campaign/submit` can duplicate work.
 //!
 //! [`StreamFollower`] rides a campaign event stream and, on EOF or timeout

@@ -1,23 +1,25 @@
-//! The search executor behind `search/*` and `fleet/*`: one [`dance_fleet`]
-//! in-process supervisor, shared by both op families.
+//! The search executor behind `fleet/*`: one [`dance_fleet`] in-process
+//! supervisor.
 //!
 //! Submission is idempotent by construction — the job id is the digest of
 //! the spec, so a client retrying a submit after a transport failure lands
 //! on the same job instead of spawning a duplicate search. That is what
-//! makes both submit ops safe under the client's retry policy while
+//! makes `fleet/submit` safe under the client's retry policy while
 //! `campaign/submit` is not. New specs shed with `503` while
 //! `ServeConfig::job_queue` jobs wait for a worker; a known spec always
 //! gets its id back.
 
 use std::io;
 
-use dance_fleet::prelude::{
-    Fleet, FleetCounts, FleetOpts, JobResult, JobSpec, JobView, SubmitError,
-};
+use dance_fleet::prelude::{Fleet, FleetCounts, FleetOpts, JobSpec, SubmitError};
 use dance_telemetry::json::{push_escaped, push_num};
 
 use crate::proto::ProtoError;
 use crate::server::ServeConfig;
+
+/// Fleet lease TTL. Heartbeats fire per epoch, so this must exceed one
+/// epoch's wall time or healthy workers get reclaimed.
+const LEASE_TTL_MS: u64 = 4_000;
 
 /// The server's handle on its fleet supervisor.
 pub struct FleetTable {
@@ -41,7 +43,7 @@ impl FleetTable {
     pub fn start(cfg: &ServeConfig) -> io::Result<Self> {
         let opts = FleetOpts::new(cfg.fleet_root.clone())
             .with_workers(cfg.fleet_workers)
-            .with_lease_ttl_ms(cfg.fleet_lease_ms)
+            .with_lease_ttl_ms(LEASE_TTL_MS)
             .with_max_pending(cfg.job_queue);
         let fleet = Fleet::start(opts).map_err(|e| {
             io::Error::new(
@@ -72,21 +74,19 @@ impl FleetTable {
         Ok(out)
     }
 
-    fn view(&self, job: &str) -> Result<JobView, ProtoError> {
-        self.fleet
-            .status(job)
-            .ok_or_else(|| ProtoError::not_found(format!("unknown job {job:?}")))
-    }
-
-    /// The `fleet/status` payload: state, attempt, worker, digest, epochs
-    /// run and error.
+    /// The `fleet/status` payload: state, attempt, worker and error, and
+    /// for a finished job its digest, epochs run, choices, final entropy
+    /// and the guard counters of the attempt that finished it.
     ///
     /// # Errors
     ///
     /// `404` for an unknown id.
     pub fn status(&self, job: &str) -> Result<String, ProtoError> {
-        let view = self.view(job)?;
-        let mut out = String::new();
+        let view = self
+            .fleet
+            .status(job)
+            .ok_or_else(|| ProtoError::not_found(format!("unknown job {job:?}")))?;
+        let mut out = String::with_capacity(256);
         out.push_str("\"job\":");
         push_escaped(&mut out, &view.id);
         out.push_str(",\"state\":");
@@ -96,52 +96,32 @@ impl FleetTable {
             out.push_str(",\"worker\":");
             push_escaped(&mut out, worker);
         }
-        if let Some(result) = &view.result {
+        if let Some(r) = &view.result {
             out.push_str(",\"digest\":");
-            push_escaped(&mut out, &format!("{:016x}", result.digest));
-            out.push_str(&format!(",\"ran\":{}", result.epochs));
+            push_escaped(&mut out, &format!("{:016x}", r.digest));
+            out.push_str(&format!(",\"ran\":{}", r.epochs));
+            out.push_str(",\"choices\":[");
+            for (i, c) in r.choices.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_num(&mut out, f64::from(*c));
+            }
+            out.push(']');
+            if let Some(bits) = r.final_entropy_bits {
+                out.push_str(",\"final_entropy\":");
+                push_num(&mut out, f64::from(f32::from_bits(bits)));
+            }
+            out.push_str(&format!(
+                ",\"guard\":{{\"watchdog_trips\":{},\"rollbacks\":{},\"checkpoints_written\":{}}}",
+                r.guard.watchdog_trips, r.guard.rollbacks, r.guard.checkpoints_written
+            ));
         }
         if let Some(error) = &view.error {
             out.push_str(",\"error\":");
             push_escaped(&mut out, error);
         }
         Ok(out)
-    }
-
-    /// The `search/status` payload: the fleet's `pending`, `leased`,
-    /// `done` and `failed` read as `queued`, `running`, `done` and
-    /// `failed`.
-    ///
-    /// # Errors
-    ///
-    /// `404` for an unknown id.
-    pub fn search_status(&self, job: &str) -> Result<String, ProtoError> {
-        let view = self.view(job)?;
-        let label = match view.state.as_str() {
-            "pending" => "queued",
-            "leased" => "running",
-            other => other,
-        };
-        Ok(format!("\"state\":\"{label}\""))
-    }
-
-    /// The `search/result` payload of a finished job: its choices, digest,
-    /// epochs, final entropy and the guard counters of the attempt that
-    /// finished it.
-    ///
-    /// # Errors
-    ///
-    /// `404` for an unknown id, `400` for a job that has not finished,
-    /// `500` for a failed job.
-    pub fn search_result(&self, job: &str) -> Result<String, ProtoError> {
-        let view = self.view(job)?;
-        if let Some(error) = &view.error {
-            return Err(ProtoError::internal(format!("job {job:?} failed: {error}")));
-        }
-        let result = view.result.ok_or_else(|| {
-            ProtoError::bad_request(format!("job {job:?} has not finished; poll search/status"))
-        })?;
-        Ok(render_result(job, &result))
     }
 
     /// Stops accepting new jobs; in-flight jobs run to completion.
@@ -163,35 +143,6 @@ impl FleetTable {
     pub fn shutdown(&self) {
         self.fleet.shutdown();
     }
-}
-
-fn render_result(job: &str, r: &JobResult) -> String {
-    let mut payload = String::with_capacity(160);
-    payload.push_str("\"job\":");
-    push_escaped(&mut payload, job);
-    payload.push_str(",\"choices\":[");
-    for (i, c) in r.choices.iter().enumerate() {
-        if i > 0 {
-            payload.push(',');
-        }
-        push_num(&mut payload, f64::from(*c));
-    }
-    payload.push_str("],\"digest\":");
-    push_escaped(&mut payload, &format!("{:016x}", r.digest));
-    payload.push_str(",\"epochs\":");
-    push_num(&mut payload, r.epochs as f64);
-    if let Some(bits) = r.final_entropy_bits {
-        payload.push_str(",\"final_entropy\":");
-        push_num(&mut payload, f64::from(f32::from_bits(bits)));
-    }
-    payload.push_str(",\"guard\":{\"watchdog_trips\":");
-    push_num(&mut payload, f64::from(r.guard.watchdog_trips));
-    payload.push_str(",\"rollbacks\":");
-    push_num(&mut payload, f64::from(r.guard.rollbacks));
-    payload.push_str(",\"checkpoints_written\":");
-    push_num(&mut payload, f64::from(r.guard.checkpoints_written));
-    payload.push('}');
-    payload
 }
 
 /// Appends the fleet's health fields: job counts, lease-recovery counters

@@ -15,13 +15,13 @@
 //! * **`cost/predict`** — learned-evaluator metrics + hardware-generation
 //!   read-out, with concurrent requests coalesced into micro-batches by
 //!   [`batch::PredictBatcher`] to amortize forward passes;
-//! * **`search/submit|status|result`** and **`fleet/submit|status|drain`**
-//!   — guarded search jobs, both families run by one lease-supervised
-//!   `dance-fleet` supervisor ([`fleet::FleetTable`]) over a durable job
-//!   ledger with per-epoch checkpoints. Submission is idempotent (the job
-//!   id is the spec digest), so client retries after transport failures
-//!   cannot duplicate work; per-worker health and lease-recovery counters
-//!   surface under `health`;
+//! * **`fleet/submit|status|drain`** — guarded search jobs, each a
+//!   `dance-fleet` `JobSpec` submitted unchanged to one lease-supervised
+//!   supervisor ([`fleet::FleetTable`]) over a durable job ledger with
+//!   per-epoch checkpoints; `fleet/status` reports a finished job's
+//!   result. Submission is idempotent (the job id is the spec digest), so
+//!   client retries after transport failures cannot duplicate work;
+//!   per-worker health and lease-recovery counters surface under `health`;
 //! * **`campaign/submit|status|stream|cancel`** — co-search campaigns
 //!   ([`campaign::CampaignTable`]) orchestrated by `dance-campaign`, with
 //!   `campaign/stream` holding the connection open and writing NDJSON

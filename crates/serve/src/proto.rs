@@ -4,21 +4,19 @@
 //! connection. Every request carries `"v": 1`, a client-chosen `"id"`
 //! (echoed verbatim in the response) and an `"op"`; an optional
 //! `"deadline_ms"` bounds how long the request may wait in a server queue
-//! before it is shed with `503`.
+//! before it is shed with `503`. An optional field that is absent takes its
+//! default; one that is present but invalid is a `400` that names it.
 //!
 //! | op               | request fields                                              |
 //! |------------------|-------------------------------------------------------------|
 //! | `cost/analytic`  | `choices` (9 × 0‥6), `cfg` (0‥4334), optional `detail`      |
 //! | `cost/predict`   | `arch` (finite floats, evaluator encoding width)            |
-//! | `search/submit`  | `epochs`, `seed`, `lambda2`, `penalty` (`flops`\|`none`) (all optional; runs on the fleet at batch 32, so resubmission dedupes) |
-//! | `search/status`  | `job`                                                       |
-//! | `search/result`  | `job`                                                       |
 //! | `campaign/submit`| `lambda2[]`, `dataset_seeds[]`, `envelopes[]`, `epochs`, `batch`, `seed`, `max_concurrency` (all optional) |
 //! | `campaign/status`| `campaign`                                                  |
 //! | `campaign/stream`| `campaign`, optional `from` (replay offset)                 |
 //! | `campaign/cancel`| `campaign`                                                  |
-//! | `fleet/submit`   | `epochs`, `batch`, `seed`, `lambda2` (all optional; job id is the spec digest, so resubmission dedupes) |
-//! | `fleet/status`   | `job`                                                       |
+//! | `fleet/submit`   | `epochs`, `batch`, `seed`, `lambda2`, `penalty` (`flops`\|`none`) (all optional; job id is the spec digest, so resubmission dedupes) |
+//! | `fleet/status`   | `job` (a finished job also reports its `choices`, `final_entropy` and guard counters) |
 //! | `fleet/drain`    | —                                                           |
 //! | `health`         | —                                                           |
 //! | `admin/shutdown` | —                                                           |
@@ -29,6 +27,7 @@
 //! internal). Responses for cacheable ops are rendered once and replayed
 //! byte-identically on cache hits.
 
+use dance_fleet::prelude::JobSpec;
 use dance_telemetry::json::{self, push_escaped, push_num, Json};
 
 /// Protocol schema version accepted and emitted by this build.
@@ -56,29 +55,6 @@ pub enum ReqBody {
     CostPredict {
         /// Architecture encoding row (finite floats).
         arch: Vec<f32>,
-    },
-    /// Submit a guarded search job to the fleet at batch 32. Idempotent,
-    /// like [`ReqBody::FleetSubmit`]: the same spec is the same job.
-    SearchSubmit {
-        /// Search epochs.
-        epochs: usize,
-        /// RNG seed. Carried as a JSON number (f64 on the wire), so values
-        /// are exact only up to 2^53; larger seeds lose low bits in transit.
-        seed: u64,
-        /// λ₂ hardware-cost weight.
-        lambda2: f32,
-        /// `true` → FLOPs penalty, `false` → accuracy-only.
-        flops_penalty: bool,
-    },
-    /// Poll a job's state.
-    SearchStatus {
-        /// Job id returned by `search/submit`.
-        job: String,
-    },
-    /// Fetch a finished job's outcome.
-    SearchResult {
-        /// Job id returned by `search/submit`.
-        job: String,
     },
     /// Submit a co-search campaign over a λ₂ × dataset × envelope grid.
     CampaignSubmit {
@@ -114,20 +90,16 @@ pub enum ReqBody {
         /// Campaign id returned by `campaign/submit`.
         campaign: String,
     },
-    /// Submit a job to the search fleet. Idempotent: the job id is the
-    /// digest of the spec, so resubmitting the same spec (e.g. a client
+    /// Submit a guarded search job to the fleet. Idempotent: the job id is
+    /// the digest of the spec, so resubmitting the same spec (e.g. a client
     /// retry after a transport failure) returns the existing job.
     FleetSubmit {
-        /// Search epochs.
-        epochs: usize,
-        /// Search batch size.
-        batch: usize,
-        /// Search RNG seed.
-        seed: u64,
-        /// λ₂ hardware-cost weight.
-        lambda2: f32,
+        /// The job, submitted unchanged. Its seed is a JSON number (f64) on
+        /// the wire, so seeds above 2^53 are refused.
+        spec: JobSpec,
     },
-    /// Poll a fleet job's state (attempt count, worker, digest when done).
+    /// Poll a fleet job's state (attempt count, worker, and its result
+    /// once done).
     FleetStatus {
         /// Job id returned by `fleet/submit`.
         job: String,
@@ -196,21 +168,65 @@ impl ProtoError {
     }
 }
 
-fn get_u64(v: &Json, key: &str) -> Option<u64> {
-    let n = v.get(key)?.as_f64()?;
+/// A JSON number that is a non-negative integer an f64 carries exactly,
+/// i.e. at most 2^53.
+fn as_u64(n: &Json) -> Option<u64> {
+    let n = n.as_f64()?;
     // lint: allow(float-eq) fract()==0.0 is the integrality test
-    if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53) {
-        Some(n as u64)
-    } else {
-        None
+    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
+}
+
+/// A finite, non-negative JSON number.
+fn as_weight(n: &Json) -> Option<f32> {
+    n.as_f64()
+        .filter(|n| n.is_finite() && *n >= 0.0)
+        .map(|n| n as f32)
+}
+
+fn as_bool(b: &Json) -> Option<bool> {
+    match b {
+        Json::Bool(b) => Some(*b),
+        _ => None,
     }
 }
 
-fn get_bool(v: &Json, key: &str) -> Option<bool> {
-    match v.get(key) {
-        Some(Json::Bool(b)) => Some(*b),
-        _ => None,
+/// Reads the optional field `key` with `read`: `None` when it is absent,
+/// a `400` naming it and what it `must` be when it is present but invalid.
+fn optional<'a, T>(
+    v: &'a Json,
+    key: &str,
+    must: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, ProtoError> {
+    v.get(key)
+        .map(|x| read(x).ok_or_else(|| ProtoError::bad_request(format!("`{key}` must be {must}"))))
+        .transpose()
+}
+
+fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, ProtoError> {
+    optional(v, key, "an integer in 0..=2^53", as_u64)
+}
+
+/// Reads the optional array field `key`, each entry with `read`; an absent
+/// or empty array takes `default`.
+fn opt_list<T>(
+    v: &Json,
+    key: &str,
+    must: &str,
+    read: impl Fn(&Json) -> Option<T>,
+    default: Vec<T>,
+) -> Result<Vec<T>, ProtoError> {
+    let Some(arr) = optional(v, key, "an array", Json::as_arr)? else {
+        return Ok(default);
+    };
+    let mut out = Vec::with_capacity(arr.len());
+    for (i, item) in arr.iter().enumerate() {
+        out.push(
+            read(item)
+                .ok_or_else(|| ProtoError::bad_request(format!("`{key}[{i}]` must be {must}")))?,
+        );
     }
+    Ok(if out.is_empty() { default } else { out })
 }
 
 /// Parses one request line.
@@ -218,11 +234,11 @@ fn get_bool(v: &Json, key: &str) -> Option<bool> {
 /// # Errors
 ///
 /// Returns a [`ProtoError`] with code 400 describing the first problem:
-/// malformed JSON, wrong/missing schema version, missing id/op, or invalid
-/// op-specific fields.
+/// malformed JSON, wrong/missing schema version, missing id/op, or an
+/// op-specific field that is missing or invalid.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let v = json::parse(line).map_err(|e| ProtoError::bad_request(format!("bad json: {e}")))?;
-    match get_u64(&v, "v") {
+    match v.get("v").and_then(as_u64) {
         Some(PROTOCOL_VERSION) => {}
         Some(other) => {
             return Err(ProtoError::bad_request(format!(
@@ -240,7 +256,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         .get("op")
         .and_then(Json::as_str)
         .ok_or_else(|| ProtoError::bad_request("missing string field `op`"))?;
-    let deadline_ms = get_u64(&v, "deadline_ms");
+    let deadline_ms = opt_u64(&v, "deadline_ms")?;
     let body = match op {
         "cost/analytic" => {
             let arr = v
@@ -264,13 +280,15 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 }
                 choices.push(n as u8);
             }
-            let cfg = get_u64(&v, "cfg")
+            let cfg = v
+                .get("cfg")
+                .and_then(as_u64)
                 .ok_or_else(|| ProtoError::bad_request("cost/analytic needs integer `cfg`"))?
                 as usize;
             ReqBody::CostAnalytic {
                 choices,
                 cfg,
-                detail: get_bool(&v, "detail").unwrap_or(false),
+                detail: optional(&v, "detail", "a boolean", as_bool)?.unwrap_or(false),
             }
         }
         "cost/predict" => {
@@ -287,94 +305,33 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             }
             ReqBody::CostPredict { arch }
         }
-        "search/submit" => ReqBody::SearchSubmit {
-            epochs: get_u64(&v, "epochs").unwrap_or(2) as usize,
-            seed: get_u64(&v, "seed").unwrap_or(0),
-            lambda2: v
-                .get("lambda2")
-                .and_then(Json::as_f64)
-                .filter(|n| n.is_finite() && *n >= 0.0)
-                .unwrap_or(0.3) as f32,
-            flops_penalty: match v.get("penalty").and_then(Json::as_str) {
-                None | Some("flops") => true,
-                Some("none") => false,
-                Some(other) => {
-                    return Err(ProtoError::bad_request(format!(
-                        "unknown penalty {other:?} (expected `flops` or `none`)"
-                    )))
-                }
-            },
+        "campaign/submit" => ReqBody::CampaignSubmit {
+            lambda2: opt_list(
+                &v,
+                "lambda2",
+                "a finite number >= 0",
+                as_weight,
+                vec![0.1, 0.3],
+            )?,
+            dataset_seeds: opt_list(
+                &v,
+                "dataset_seeds",
+                "an integer in 0..=2^53",
+                as_u64,
+                vec![0],
+            )?,
+            envelopes: opt_list(
+                &v,
+                "envelopes",
+                "a string",
+                |e| e.as_str().map(str::to_string),
+                vec!["full".into()],
+            )?,
+            epochs: opt_u64(&v, "epochs")?.unwrap_or(2) as usize,
+            batch: opt_u64(&v, "batch")?.unwrap_or(16) as usize,
+            seed: opt_u64(&v, "seed")?.unwrap_or(0),
+            max_concurrency: opt_u64(&v, "max_concurrency")?.unwrap_or(0) as usize,
         },
-        "search/status" | "search/result" => {
-            let job = v
-                .get("job")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtoError::bad_request(format!("{op} needs string `job`")))?
-                .to_string();
-            if op == "search/status" {
-                ReqBody::SearchStatus { job }
-            } else {
-                ReqBody::SearchResult { job }
-            }
-        }
-        "campaign/submit" => {
-            let mut lambda2 = Vec::new();
-            if let Some(arr) = v.get("lambda2").and_then(Json::as_arr) {
-                for (i, item) in arr.iter().enumerate() {
-                    let n = item
-                        .as_f64()
-                        .filter(|n| n.is_finite() && *n >= 0.0)
-                        .ok_or_else(|| {
-                            ProtoError::bad_request(format!(
-                                "`lambda2[{i}]` must be a finite number >= 0"
-                            ))
-                        })?;
-                    lambda2.push(n as f32);
-                }
-            }
-            if lambda2.is_empty() {
-                lambda2 = vec![0.1, 0.3];
-            }
-            let mut dataset_seeds = Vec::new();
-            if let Some(arr) = v.get("dataset_seeds").and_then(Json::as_arr) {
-                for (i, item) in arr.iter().enumerate() {
-                    let n = item
-                        .as_f64()
-                        // lint: allow(float-eq) fract()==0.0 is the integrality test
-                        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-                        .ok_or_else(|| {
-                            ProtoError::bad_request(format!(
-                                "`dataset_seeds[{i}]` must be a non-negative integer"
-                            ))
-                        })?;
-                    dataset_seeds.push(n as u64);
-                }
-            }
-            if dataset_seeds.is_empty() {
-                dataset_seeds = vec![0];
-            }
-            let mut envelopes = Vec::new();
-            if let Some(arr) = v.get("envelopes").and_then(Json::as_arr) {
-                for (i, item) in arr.iter().enumerate() {
-                    let s = item.as_str().ok_or_else(|| {
-                        ProtoError::bad_request(format!("`envelopes[{i}]` must be a string"))
-                    })?;
-                    envelopes.push(s.to_string());
-                }
-            }
-            if envelopes.is_empty() {
-                envelopes = vec!["full".into()];
-            }
-            ReqBody::CampaignSubmit {
-                lambda2,
-                dataset_seeds,
-                envelopes,
-                epochs: get_u64(&v, "epochs").unwrap_or(2) as usize,
-                batch: get_u64(&v, "batch").unwrap_or(16) as usize,
-                seed: get_u64(&v, "seed").unwrap_or(0),
-                max_concurrency: get_u64(&v, "max_concurrency").unwrap_or(0) as usize,
-            }
-        }
         "campaign/status" | "campaign/stream" | "campaign/cancel" => {
             let campaign = v
                 .get("campaign")
@@ -385,21 +342,32 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 "campaign/status" => ReqBody::CampaignStatus { campaign },
                 "campaign/stream" => ReqBody::CampaignStream {
                     campaign,
-                    from: get_u64(&v, "from").unwrap_or(0) as usize,
+                    from: opt_u64(&v, "from")?.unwrap_or(0) as usize,
                 },
                 _ => ReqBody::CampaignCancel { campaign },
             }
         }
-        "fleet/submit" => ReqBody::FleetSubmit {
-            epochs: get_u64(&v, "epochs").unwrap_or(4) as usize,
-            batch: get_u64(&v, "batch").unwrap_or(32) as usize,
-            seed: get_u64(&v, "seed").unwrap_or(0),
-            lambda2: v
-                .get("lambda2")
-                .and_then(Json::as_f64)
-                .filter(|n| n.is_finite() && *n >= 0.0)
-                .unwrap_or(0.1) as f32,
-        },
+        "fleet/submit" => {
+            let spec = JobSpec::new(
+                opt_u64(&v, "epochs")?.unwrap_or(4),
+                opt_u64(&v, "batch")?.unwrap_or(32),
+                opt_u64(&v, "seed")?.unwrap_or(0),
+                optional(&v, "lambda2", "a finite number >= 0", as_weight)?.unwrap_or(0.1),
+            );
+            let penalty = |p: &Json| match p.as_str()? {
+                "flops" => Some(true),
+                "none" => Some(false),
+                _ => None,
+            };
+            let flops_penalty =
+                optional(&v, "penalty", "`flops` or `none`", penalty)?.unwrap_or(true);
+            ReqBody::FleetSubmit {
+                spec: JobSpec {
+                    flops_penalty,
+                    ..spec
+                },
+            }
+        }
         "fleet/status" => ReqBody::FleetStatus {
             job: v
                 .get("job")
@@ -459,29 +427,6 @@ pub fn render_request(req: &Request) -> String {
             }
             out.push(']');
         }
-        ReqBody::SearchSubmit {
-            epochs,
-            seed,
-            lambda2,
-            flops_penalty,
-        } => {
-            out.push_str("\"search/submit\",\"epochs\":");
-            push_num(&mut out, *epochs as f64);
-            out.push_str(",\"seed\":");
-            push_num(&mut out, *seed as f64);
-            out.push_str(",\"lambda2\":");
-            push_num(&mut out, f64::from(*lambda2));
-            out.push_str(",\"penalty\":");
-            push_escaped(&mut out, if *flops_penalty { "flops" } else { "none" });
-        }
-        ReqBody::SearchStatus { job } => {
-            out.push_str("\"search/status\",\"job\":");
-            push_escaped(&mut out, job);
-        }
-        ReqBody::SearchResult { job } => {
-            out.push_str("\"search/result\",\"job\":");
-            push_escaped(&mut out, job);
-        }
         ReqBody::CampaignSubmit {
             lambda2,
             dataset_seeds,
@@ -535,20 +480,17 @@ pub fn render_request(req: &Request) -> String {
             out.push_str("\"campaign/cancel\",\"campaign\":");
             push_escaped(&mut out, campaign);
         }
-        ReqBody::FleetSubmit {
-            epochs,
-            batch,
-            seed,
-            lambda2,
-        } => {
+        ReqBody::FleetSubmit { spec } => {
             out.push_str("\"fleet/submit\",\"epochs\":");
-            push_num(&mut out, *epochs as f64);
+            push_num(&mut out, spec.epochs as f64);
             out.push_str(",\"batch\":");
-            push_num(&mut out, *batch as f64);
+            push_num(&mut out, spec.batch as f64);
             out.push_str(",\"seed\":");
-            push_num(&mut out, *seed as f64);
+            push_num(&mut out, spec.seed as f64);
             out.push_str(",\"lambda2\":");
-            push_num(&mut out, f64::from(*lambda2));
+            push_num(&mut out, f64::from(spec.lambda2()));
+            out.push_str(",\"penalty\":");
+            push_escaped(&mut out, if spec.flops_penalty { "flops" } else { "none" });
         }
         ReqBody::FleetStatus { job } => {
             out.push_str("\"fleet/status\",\"job\":");
@@ -597,7 +539,7 @@ pub fn render_err(id: &str, err: &ProtoError) -> String {
 ///
 /// Float payloads are quantized to 1e-6 so that requests within the same
 /// quantization bucket share an entry (and therefore a byte-identical
-/// response). Search and admin ops are never cached.
+/// response). Fleet, campaign and admin ops are never cached.
 pub fn cache_key(body: &ReqBody) -> Option<String> {
     match body {
         ReqBody::CostAnalytic {
@@ -667,32 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_status_result_health_shutdown_roundtrip() {
-        for body in [
-            ReqBody::SearchSubmit {
-                epochs: 3,
-                seed: 42,
-                lambda2: 0.25,
-                flops_penalty: false,
-            },
-            ReqBody::SearchStatus {
-                job: "job-7".into(),
-            },
-            ReqBody::SearchResult {
-                job: "job-0".into(),
-            },
-            ReqBody::Health,
-            ReqBody::Shutdown,
-        ] {
-            roundtrip(&Request {
-                id: "x".into(),
-                deadline_ms: None,
-                body,
-            });
-        }
-    }
-
-    #[test]
     fn campaign_ops_roundtrip() {
         for body in [
             ReqBody::CampaignSubmit {
@@ -724,18 +640,23 @@ mod tests {
     }
 
     #[test]
-    fn fleet_ops_roundtrip() {
+    fn fleet_and_admin_ops_roundtrip() {
         for body in [
             ReqBody::FleetSubmit {
-                epochs: 6,
-                batch: 32,
-                seed: 11,
-                lambda2: 0.25,
+                spec: JobSpec::new(6, 32, 11, 0.25),
+            },
+            ReqBody::FleetSubmit {
+                spec: JobSpec {
+                    flops_penalty: false,
+                    ..JobSpec::new(3, 16, 42, 0.1)
+                },
             },
             ReqBody::FleetStatus {
                 job: "fjob-00ff".into(),
             },
             ReqBody::FleetDrain,
+            ReqBody::Health,
+            ReqBody::Shutdown,
         ] {
             roundtrip(&Request {
                 id: "fleet".into(),
@@ -751,10 +672,7 @@ mod tests {
         assert_eq!(
             req.body,
             ReqBody::FleetSubmit {
-                epochs: 4,
-                batch: 32,
-                seed: 0,
-                lambda2: 0.1,
+                spec: JobSpec::new(4, 32, 0, 0.1),
             }
         );
         let err = parse_request(r#"{"v":1,"id":"a","op":"fleet/status"}"#).expect_err("no job");
@@ -762,12 +680,60 @@ mod tests {
     }
 
     #[test]
+    fn present_but_invalid_fields_are_refused_by_name() {
+        // Each of these once parsed to the field's default: seeds above
+        // 2^53 became seed 0, so distinct seeds deduped onto one job.
+        for (op, fields, field) in [
+            ("fleet/submit", r#""seed":1152921504606846976"#, "seed"),
+            ("fleet/submit", r#""seed":9007199254740994"#, "seed"),
+            ("fleet/submit", r#""lambda2":-1"#, "lambda2"),
+            ("fleet/submit", r#""epochs":2.5"#, "epochs"),
+            ("fleet/submit", r#""epochs":"9""#, "epochs"),
+            ("fleet/submit", r#""batch":-32"#, "batch"),
+            ("fleet/submit", r#""penalty":0"#, "penalty"),
+            ("fleet/submit", r#""penalty":"both""#, "penalty"),
+            ("health", r#""deadline_ms":"soon""#, "deadline_ms"),
+            (
+                "cost/analytic",
+                r#""choices":[0,0,0,0,0,0,0,0,0],"cfg":0,"detail":"yes""#,
+                "detail",
+            ),
+            ("campaign/submit", r#""epochs":1.5"#, "epochs"),
+            ("campaign/submit", r#""batch":"16""#, "batch"),
+            ("campaign/submit", r#""seed":1152921504606846976"#, "seed"),
+            (
+                "campaign/submit",
+                r#""max_concurrency":-1"#,
+                "max_concurrency",
+            ),
+            ("campaign/submit", r#""lambda2":0.1"#, "lambda2"),
+            (
+                "campaign/stream",
+                r#""campaign":"camp-0","from":"end""#,
+                "from",
+            ),
+        ] {
+            let line = format!(r#"{{"v":1,"id":"a","op":"{op}",{fields}}}"#);
+            let err = parse_request(&line).expect_err("must refuse");
+            assert_eq!(err.code, 400, "line: {line}");
+            let named = err.msg.contains(&format!("`{field}`"));
+            assert!(named, "line: {line}, error: {}", err.msg);
+        }
+        // 2^53 itself is exact, and is kept.
+        let req = parse_request(r#"{"v":1,"id":"a","op":"fleet/submit","seed":9007199254740992}"#)
+            .expect("parses");
+        assert_eq!(
+            req.body,
+            ReqBody::FleetSubmit {
+                spec: JobSpec::new(4, 32, 1 << 53, 0.1),
+            }
+        );
+    }
+
+    #[test]
     fn fleet_requests_are_never_cached() {
         assert!(cache_key(&ReqBody::FleetSubmit {
-            epochs: 4,
-            batch: 32,
-            seed: 0,
-            lambda2: 0.1,
+            spec: JobSpec::new(4, 32, 0, 0.1),
         })
         .is_none());
         assert!(cache_key(&ReqBody::FleetStatus {
@@ -818,8 +784,6 @@ mod tests {
             r#"{"v":1,"id":"a","op":"cost/analytic","choices":[1,2],"cfg":0}"#,
             r#"{"v":1,"id":"a","op":"cost/analytic","choices":[0,0,0,0,0,0,0,0,9],"cfg":0}"#,
             r#"{"v":1,"id":"a","op":"cost/predict","arch":[1,null]}"#,
-            r#"{"v":1,"id":"a","op":"search/status"}"#,
-            r#"{"v":1,"id":"a","op":"search/submit","penalty":"both"}"#,
             r#"{"v":1,"id":"a","op":"campaign/status"}"#,
             r#"{"v":1,"id":"a","op":"campaign/stream"}"#,
             r#"{"v":1,"id":"a","op":"campaign/cancel"}"#,

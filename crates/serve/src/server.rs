@@ -4,8 +4,8 @@
 //! observes the drain flag promptly. Dispatch routes each parsed request
 //! through the response cache, then to its endpoint family: analytic cost
 //! queries run inline under [`Admission`] control, predictions go through
-//! the micro-batch collector, and `search/*` and `fleet/*` jobs go to the
-//! one fleet supervisor ([`FleetTable`]). A graceful drain (the
+//! the micro-batch collector, and `fleet/*` jobs go to the one fleet
+//! supervisor ([`FleetTable`]). A graceful drain (the
 //! `admin/shutdown` op) stops the accept loop, sheds new work with `503`,
 //! lets in-flight work finish, and only then joins the batcher and the
 //! fleet's workers — so a kill mid-drain can at worst lose a response,
@@ -31,7 +31,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dance_campaign::prelude::{CampaignSpec, Envelope, EventLog, Waited};
-use dance_fleet::prelude::JobSpec;
 
 use crate::batch::{BatchConfig, PredictBatcher};
 use crate::cache::ResponseCache;
@@ -43,8 +42,15 @@ use crate::proto::{
 };
 use crate::queue::Admission;
 
-/// Mini-batch size of a `search/submit` job.
-const SEARCH_BATCH: u64 = 32;
+/// Max analytic queries queued behind the in-flight ones.
+const MAX_WAITING: usize = 64;
+/// Response-cache shard count.
+const CACHE_SHARDS: usize = 8;
+/// Seed for the served evaluator's (untrained) weights — fixed so the same
+/// build serves identical predictions across restarts.
+const EVAL_SEED: u64 = 0;
+/// Hidden width of the served evaluator networks.
+const EVAL_WIDTH: usize = 16;
 
 /// Server tuning knobs; [`Default`] is sized for the dev machine.
 #[derive(Debug, Clone)]
@@ -53,38 +59,23 @@ pub struct ServeConfig {
     pub addr: String,
     /// Max concurrently executing analytic queries.
     pub max_inflight: usize,
-    /// Max analytic queries queued behind the in-flight ones.
-    pub max_waiting: usize,
     /// Queue-wait budget applied when a request carries no `deadline_ms`.
     pub default_deadline_ms: u64,
-    /// Micro-batch collector tuning.
-    pub batch: BatchConfig,
-    /// Fleet jobs (from `search/submit` and `fleet/submit`) that may wait
-    /// for a worker; a new spec beyond that sheds with `503`.
+    /// Fleet jobs that may wait for a worker; a new spec beyond that sheds
+    /// with `503`.
     pub job_queue: usize,
     /// Response-cache entries (across all shards).
     pub cache_capacity: usize,
-    /// Response-cache shard count.
-    pub cache_shards: usize,
-    /// Seed for the served evaluator's (untrained) weights — fixed so the
-    /// same build serves identical predictions across restarts.
-    pub eval_seed: u64,
-    /// Hidden width of the served evaluator networks.
-    pub eval_width: usize,
     /// Unused: search jobs run on the fleet and checkpoint under
     /// `fleet_root`. Kept because `perfbench` sets it.
     pub ckpt_root: std::path::PathBuf,
     /// Root directory for campaign manifests and per-cell checkpoints
     /// (`<campaign_root>/<campaign-id>/`).
     pub campaign_root: std::path::PathBuf,
-    /// Fleet worker threads, each running one `search/*` or `fleet/*` job
-    /// at a time.
+    /// Fleet worker threads, each running one `fleet/*` job at a time.
     pub fleet_workers: usize,
     /// Root directory for the fleet's job ledger and checkpoints.
     pub fleet_root: std::path::PathBuf,
-    /// Fleet lease TTL. Heartbeats fire per epoch, so this must exceed
-    /// one epoch's wall time or healthy workers get reclaimed.
-    pub fleet_lease_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -92,19 +83,13 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".into(),
             max_inflight: 8,
-            max_waiting: 64,
             default_deadline_ms: 100,
-            batch: BatchConfig::default(),
             job_queue: 16,
             cache_capacity: 4096,
-            cache_shards: 8,
-            eval_seed: 0,
-            eval_width: 16,
             ckpt_root: std::env::temp_dir().join("dance_serve_jobs"),
             campaign_root: std::env::temp_dir().join("dance_serve_campaigns"),
             fleet_workers: 1,
             fleet_root: std::env::temp_dir().join("dance_serve_fleet"),
-            fleet_lease_ms: 4000,
         }
     }
 }
@@ -146,11 +131,11 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let arch_width = proto::NUM_SLOTS * proto::NUM_CHOICES;
-        let mut rng = StdRng::seed_from_u64(cfg.eval_seed);
-        let hwgen = HwGenNet::new(arch_width, cfg.eval_width, &mut rng);
+        let mut rng = StdRng::seed_from_u64(EVAL_SEED);
+        let hwgen = HwGenNet::new(arch_width, EVAL_WIDTH, &mut rng);
         let cost_net = CostNet::new(
             arch_width + dance_accel::space::ENCODED_WIDTH,
-            cfg.eval_width,
+            EVAL_WIDTH,
             &mut rng,
         );
         let evaluator = Evaluator::with_feature_forwarding(
@@ -161,11 +146,12 @@ impl Server {
         );
         // Started first, so a freeze error returns before any other worker
         // thread exists; a fleet that cannot start stops it again.
-        let batcher = PredictBatcher::start(&evaluator, cfg.batch).map_err(io::Error::other)?;
+        let batcher =
+            PredictBatcher::start(&evaluator, BatchConfig::default()).map_err(io::Error::other)?;
         let fleet = FleetTable::start(cfg).inspect_err(|_| batcher.shutdown())?;
         let shared = Arc::new(Shared {
-            cache: ResponseCache::new(cfg.cache_capacity, cfg.cache_shards),
-            admission: Admission::new(cfg.max_inflight, cfg.max_waiting),
+            cache: ResponseCache::new(cfg.cache_capacity, CACHE_SHARDS),
+            admission: Admission::new(cfg.max_inflight, MAX_WAITING),
             batcher,
             campaigns: CampaignTable::new(cfg.campaign_root.clone()),
             fleet,
@@ -434,22 +420,6 @@ fn dispatch(shared: &Shared, req: &Request) -> Result<String, ProtoError> {
             rx.recv_timeout(deadline.max(Duration::from_secs(5)))
                 .map_err(|_| ProtoError::internal("predict collector did not answer"))?
         }
-        ReqBody::SearchSubmit {
-            epochs,
-            seed,
-            lambda2,
-            flops_penalty,
-        } => {
-            if draining {
-                return Err(ProtoError::overloaded("server is draining"));
-            }
-            shared.fleet.submit(JobSpec {
-                flops_penalty: *flops_penalty,
-                ..JobSpec::new(*epochs as u64, SEARCH_BATCH, *seed, *lambda2)
-            })
-        }
-        ReqBody::SearchStatus { job } => shared.fleet.search_status(job),
-        ReqBody::SearchResult { job } => shared.fleet.search_result(job),
         ReqBody::CampaignSubmit {
             lambda2,
             dataset_seeds,
@@ -499,18 +469,11 @@ fn dispatch(shared: &Shared, req: &Request) -> Result<String, ProtoError> {
             shared.campaigns.cancel(campaign)?;
             Ok("\"cancelling\":true".into())
         }
-        ReqBody::FleetSubmit {
-            epochs,
-            batch,
-            seed,
-            lambda2,
-        } => {
+        ReqBody::FleetSubmit { spec } => {
             if draining {
                 return Err(ProtoError::overloaded("server is draining"));
             }
-            shared
-                .fleet
-                .submit(JobSpec::new(*epochs as u64, *batch as u64, *seed, *lambda2))
+            shared.fleet.submit(*spec)
         }
         ReqBody::FleetStatus { job } => shared.fleet.status(job),
         ReqBody::FleetDrain => Ok(shared.fleet.drain()),

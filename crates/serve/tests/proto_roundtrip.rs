@@ -4,6 +4,7 @@
 //! back as v1 documents, and cache keys are deterministic functions of the
 //! request body.
 
+use dance_fleet::prelude::JobSpec;
 use dance_serve::proto::{
     cache_key, parse_request, render_err, render_ok, render_request, ProtoError, ReqBody, Request,
     NUM_CHOICES, NUM_SLOTS,
@@ -78,21 +79,22 @@ proptest! {
     fn prop_submit_request_roundtrips(
         id in id_strategy(),
         deadline_ms in deadline_strategy(),
-        epochs in 1usize..64,
-        // JSON numbers are f64 end to end, so seeds are exact only up to
-        // 2^53 — the documented protocol limit.
-        seed in 0u64..(1u64 << 53),
+        epochs in 1u64..64,
+        batch in 2u64..256,
+        // JSON numbers are f64 end to end, so the protocol refuses seeds
+        // above 2^53, the largest it carries exactly.
+        seed in 0u64..=(1u64 << 53),
         lambda2 in 0.0f32..8.0,
         flops_penalty in prop::sample::select(vec![true, false]),
     ) {
         roundtrip(&Request {
             id,
             deadline_ms,
-            body: ReqBody::SearchSubmit {
-                epochs,
-                seed,
-                lambda2,
-                flops_penalty,
+            body: ReqBody::FleetSubmit {
+                spec: JobSpec {
+                    flops_penalty,
+                    ..JobSpec::new(epochs, batch, seed, lambda2)
+                },
             },
         });
     }
@@ -104,8 +106,8 @@ proptest! {
         pick in 0usize..4,
     ) {
         let body = match pick {
-            0 => ReqBody::SearchStatus { job },
-            1 => ReqBody::SearchResult { job },
+            0 => ReqBody::FleetStatus { job },
+            1 => ReqBody::FleetDrain,
             2 => ReqBody::Health,
             _ => ReqBody::Shutdown,
         };
@@ -160,5 +162,6 @@ proptest! {
         // Admin/job requests must never be cached.
         assert_eq!(cache_key(&ReqBody::Health), None);
         assert_eq!(cache_key(&ReqBody::Shutdown), None);
+        assert_eq!(cache_key(&ReqBody::FleetDrain), None);
     }
 }

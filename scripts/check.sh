@@ -94,10 +94,13 @@ cargo test -q --release --test fleet_process
 cargo test -q --release --test torn_checkpoint
 
 # Process-level chaos drill: run the same job set straight and with one
-# worker SIGKILLed mid-run; the per-job arch-digest lines must be identical.
-# Eight epochs keep the drill running well past its 300 ms kill, and its
-# summary line must show the kill and a reclaim: a drill that finished
-# before the kill would only compare two clean runs.
+# worker SIGKILLed mid-run; the per-job arch-digest lines must be identical,
+# and the straight run's must equal the pinned ones: a change to what the
+# worker child runs (a spec field lost on its way through `--spec`, say)
+# moves both runs alike, so only the pin sees it. Eight epochs keep the
+# drill running well past its 300 ms kill, and its summary line must show
+# the kill and a reclaim: a drill that finished before the kill would only
+# compare two clean runs.
 echo "== fleet chaos drill (kill-one-worker, digests must match) =="
 cargo build --release -q --bin dance_fleet
 drill_dir="$(mktemp -d)"
@@ -107,10 +110,20 @@ trap 'rm -rf "${drill_dir}"' EXIT
 ./target/release/dance_fleet --jobs 3 --epochs 8 --workers 2 --lease-ttl-ms 2500 \
   --chaos-kill-ms 300 --dir "${drill_dir}/drill" > "${drill_dir}/drill.log"
 grep "arch-digest" "${drill_dir}/drill.log" | sort > "${drill_dir}/drill.txt"
+cat > "${drill_dir}/pinned.txt" <<'PINNED'
+job fjob-831e85f1c6747f48 arch-digest: 09834c02788c2d5d
+job fjob-837cc5f1c71d4f83 arch-digest: df86a2dab873fe70
+job fjob-837ea9f1c71da2c6 arch-digest: 58ad2982c01e3f99
+PINNED
+if ! diff -u "${drill_dir}/pinned.txt" "${drill_dir}/straight.txt"; then
+  echo "fleet chaos drill: the straight run's digests moved off the pinned ones" >&2
+  exit 1
+fi
 if ! diff -u "${drill_dir}/straight.txt" "${drill_dir}/drill.txt"; then
   echo "fleet chaos drill diverged from the straight run" >&2
   exit 1
 fi
+cat "${drill_dir}/drill.txt"
 if ! grep -Eq "[1-9][0-9]* reclaims, 1 kills," "${drill_dir}/drill.log"; then
   echo "fleet chaos drill did not kill a worker and reclaim its lease:" >&2
   grep "^fleet:" "${drill_dir}/drill.log" >&2 || true

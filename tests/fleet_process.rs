@@ -104,17 +104,20 @@ fn stalled_child_is_killed_at_lease_expiry_and_never_fenced() {
     let spec = JobSpec::new(4, 16, 151, 0.1);
     let want = straight_digest(&spec, "stall_ref");
 
-    // The child stops heartbeating after epoch 0 but keeps computing, and
-    // its three remaining epochs, slowed 150 ms each, outlast the 300 ms
-    // lease. The sweep must SIGKILL it when the lease expires: a child left
-    // alive would finish and report a stale result that fencing discards.
+    // The child heartbeats epoch 0, then stops heartbeating but keeps
+    // computing, and its three remaining epochs, slowed 600 ms each,
+    // outlast the 1,500 ms lease. The TTL leaves the child's start-up and
+    // epoch 0 (plus one slow sleep) room to land that first heartbeat, the
+    // values `fleet_recovery`'s stall drill uses. The sweep must SIGKILL
+    // the child when the lease expires: a child left alive would finish and
+    // report a stale result that fencing discards.
     let chaos = AttemptChaos {
         kill_after: None,
         stall_from: Some(1),
-        slow_ms: Some(150),
+        slow_ms: Some(600),
     };
     let fleet =
-        Fleet::start(child_opts(&dir, 1, chaos).with_lease_ttl_ms(300)).expect("fleet starts");
+        Fleet::start(child_opts(&dir, 1, chaos).with_lease_ttl_ms(1_500)).expect("fleet starts");
     let (id, _) = fleet.submit(spec).expect("submit");
     assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
     let view = fleet.status(&id).expect("status");
@@ -122,12 +125,22 @@ fn stalled_child_is_killed_at_lease_expiry_and_never_fenced() {
     fleet.shutdown();
     assert_eq!(view.state, "done", "job: {:?}", view.error);
     assert_eq!(view.digest(), Some(want), "recovered digest diverged");
-    // At opt-level 1 a resumed child's start-up can also outlast 300 ms, so
-    // more than one reclaim is possible.
     assert!(
         counts.reclaims >= 1,
         "stalled lease was reclaimed: {counts:?}"
     );
     assert_eq!(counts.fenced, 0, "the stalled child outlived its lease");
+    // Attempt 1 checkpoints epoch 1 only after its epoch-0 heartbeat, so a
+    // resume from epoch 1 or later shows the stall came after a live
+    // heartbeat. A lease that expired before that heartbeat renewed it
+    // would have killed the child before epoch 1 ended.
+    let resumed = view
+        .result
+        .as_ref()
+        .and_then(|r| r.guard.resumed_from_epoch);
+    assert!(
+        resumed.is_some_and(|e| e >= 1),
+        "the next attempt resumed from epoch {resumed:?}, not from 1 or later"
+    );
     let _cleanup = std::fs::remove_dir_all(&dir);
 }

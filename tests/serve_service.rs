@@ -5,6 +5,7 @@
 
 use std::time::{Duration, Instant};
 
+use dance_fleet::prelude::JobSpec;
 use dance_serve::proto::{ReqBody, Request, NUM_CHOICES, NUM_SLOTS};
 use dance_serve::{Client, ServeConfig, Server};
 use dance_telemetry::json::Json;
@@ -53,6 +54,27 @@ fn analytic(id: &str, choices: Vec<u8>, cfg: usize) -> Request {
             cfg,
             detail: false,
         },
+    }
+}
+
+/// Polls `fleet/status` until `job` is done and returns that answer.
+fn wait_done(client: &mut Client, job: &str) -> Json {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let status = client
+            .call(&Request {
+                id: "status".into(),
+                deadline_ms: None,
+                body: ReqBody::FleetStatus { job: job.into() },
+            })
+            .expect("status request succeeds");
+        let state = status.get("state").and_then(Json::as_str).unwrap_or("?");
+        if state == "done" {
+            return status;
+        }
+        assert_ne!(state, "failed", "job {job} failed: {status:?}");
+        assert!(Instant::now() < deadline, "job {job} stuck in {state}");
+        std::thread::sleep(Duration::from_millis(50));
     }
 }
 
@@ -171,11 +193,11 @@ fn overload_sheds_with_503_and_queues_stay_bounded() {
             .call(&Request {
                 id: format!("submit-{i}"),
                 deadline_ms: Some(2_000),
-                body: ReqBody::SearchSubmit {
-                    epochs: 1,
-                    seed: 7 + i as u64,
-                    lambda2: 0.1,
-                    flops_penalty: false,
+                body: ReqBody::FleetSubmit {
+                    spec: JobSpec {
+                        flops_penalty: false,
+                        ..JobSpec::new(1, 32, 7 + i as u64, 0.1)
+                    },
                 },
             })
             .expect("submit request round-trips");
@@ -228,31 +250,8 @@ fn overload_sheds_with_503_and_queues_stay_bounded() {
     );
 
     // The accepted jobs must all finish (tiny 1-epoch searches).
-    let deadline = Instant::now() + Duration::from_secs(120);
     for job in &accepted {
-        loop {
-            let resp = client
-                .call(&Request {
-                    id: "status".into(),
-                    deadline_ms: None,
-                    body: ReqBody::SearchStatus { job: job.clone() },
-                })
-                .expect("status request succeeds");
-            let state = resp.get("state").and_then(Json::as_str).unwrap_or("?");
-            if state == "done" {
-                break;
-            }
-            assert_ne!(state, "failed", "job {job} failed");
-            assert!(Instant::now() < deadline, "job {job} stuck in {state}");
-            std::thread::sleep(Duration::from_millis(100));
-        }
-        let result = client
-            .call(&Request {
-                id: "result".into(),
-                deadline_ms: None,
-                body: ReqBody::SearchResult { job: job.clone() },
-            })
-            .expect("result request succeeds");
+        let result = wait_done(&mut client, job);
         assert_eq!(result.get("ok"), Some(&Json::Bool(true)));
         assert!(
             result.get("choices").and_then(Json::as_arr).is_some(),
@@ -459,10 +458,7 @@ fn fleet_endpoints_dedupe_submissions_and_drain_cleanly() {
                 id: id.into(),
                 deadline_ms: None,
                 body: ReqBody::FleetSubmit {
-                    epochs: 2,
-                    batch: 16,
-                    seed,
-                    lambda2: 0.1,
+                    spec: JobSpec::new(2, 16, seed, 0.1),
                 },
             })
             .expect("submit call returns")
@@ -496,24 +492,7 @@ fn fleet_endpoints_dedupe_submissions_and_drain_cleanly() {
     assert_eq!(missing.get("code").and_then(Json::as_f64), Some(404.0));
 
     // Poll status until the search lands with its digest.
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let done = loop {
-        let status = client
-            .call(&Request {
-                id: "f-status".into(),
-                deadline_ms: None,
-                body: ReqBody::FleetStatus { job: job.clone() },
-            })
-            .expect("status succeeds");
-        if status.get("state").and_then(Json::as_str) == Some("done") {
-            break status;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "fleet job never finished: {status:?}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    let done = wait_done(&mut client, &job);
     let digest = done
         .get("digest")
         .and_then(Json::as_str)
@@ -571,53 +550,39 @@ fn fleet_endpoints_dedupe_submissions_and_drain_cleanly() {
 fn search_jobs_run_on_the_fleet_with_the_parent_answers() {
     let (addr, handle) = start_server(ServeConfig::default());
     let mut client = connect(&addr);
-    let call = |client: &mut Client, body: ReqBody| {
+    let submit = |client: &mut Client, flops_penalty| {
         client
             .call(&Request {
                 id: "s".into(),
                 deadline_ms: None,
-                body,
+                body: ReqBody::FleetSubmit {
+                    spec: JobSpec {
+                        flops_penalty,
+                        ..JobSpec::new(2, 32, 7, 0.1)
+                    },
+                },
             })
-            .expect("search call returns")
-    };
-    let submit = |flops_penalty| ReqBody::SearchSubmit {
-        epochs: 2,
-        seed: 7,
-        lambda2: 0.1,
-        flops_penalty,
-    };
-    let wait_result = |client: &mut Client, job: &str| {
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            let status = call(client, ReqBody::SearchStatus { job: job.into() });
-            let state = status.get("state").and_then(Json::as_str).unwrap_or("?");
-            if state == "done" {
-                return call(client, ReqBody::SearchResult { job: job.into() });
-            }
-            assert_ne!(state, "failed", "job {job} failed");
-            assert!(Instant::now() < deadline, "job {job} stuck in {state}");
-            std::thread::sleep(Duration::from_millis(50));
-        }
+            .expect("submit call returns")
     };
 
-    // The id is the one `fleet/submit` gives the same spec at batch 32.
-    let first = call(&mut client, submit(true));
+    // The spec's id, unchanged since the server ran `fleet/submit` specs.
+    let first = submit(&mut client, true);
     assert_eq!(
         first.get("job").and_then(Json::as_str),
         Some("fjob-5df6a14915339fff"),
         "{first:?}"
     );
     assert_eq!(first.get("deduped"), Some(&Json::Bool(false)));
-    let again = call(&mut client, submit(true));
+    let again = submit(&mut client, true);
     assert_eq!(
         again.get("job").and_then(Json::as_str),
         Some("fjob-5df6a14915339fff")
     );
     assert_eq!(again.get("deduped"), Some(&Json::Bool(true)));
 
-    // Pinned: what `search/*` answered for this spec before it ran on the
-    // fleet.
-    let result = wait_result(&mut client, "fjob-5df6a14915339fff");
+    // Pinned: what the server answered for this spec before it ran on the
+    // fleet, now all in the one `fleet/status` answer.
+    let result = wait_done(&mut client, "fjob-5df6a14915339fff");
     assert_eq!(
         result.get("digest").and_then(Json::as_str),
         Some("68ad21587d07401d"),
@@ -631,32 +596,29 @@ fn search_jobs_run_on_the_fleet_with_the_parent_answers() {
         .filter_map(Json::as_f64)
         .collect();
     assert_eq!(choices, [5.0, 6.0, 4.0, 2.0, 6.0, 6.0, 2.0, 1.0, 2.0]);
-    assert_eq!(result.get("epochs").and_then(Json::as_f64), Some(2.0));
+    assert_eq!(result.get("ran").and_then(Json::as_f64), Some(2.0));
     let entropy = result
         .get("final_entropy")
         .and_then(Json::as_f64)
         .expect("result has a final entropy");
     assert_eq!(entropy.to_bits(), 1.944_864_034_652_71_f64.to_bits());
-    let status = call(
-        &mut client,
-        ReqBody::FleetStatus {
-            job: "fjob-5df6a14915339fff".into(),
-        },
-    );
-    assert_eq!(
-        status.get("digest").and_then(Json::as_str),
-        Some("68ad21587d07401d")
-    );
+    let guard = result.get("guard").expect("result has guard counters");
+    for counter in ["watchdog_trips", "rollbacks", "checkpoints_written"] {
+        assert!(
+            guard.get(counter).and_then(Json::as_f64).is_some(),
+            "guard lacks {counter}: {result:?}"
+        );
+    }
 
     // Without the penalty it is another job with another answer.
-    let plain = call(&mut client, submit(false));
+    let plain = submit(&mut client, false);
     let plain_id = plain
         .get("job")
         .and_then(Json::as_str)
         .expect("submit returns a job id")
         .to_string();
     assert_ne!(plain_id, "fjob-5df6a14915339fff");
-    let plain_result = wait_result(&mut client, &plain_id);
+    let plain_result = wait_done(&mut client, &plain_id);
     assert_eq!(
         plain_result.get("digest").and_then(Json::as_str),
         Some("ba5a53b3294e819f"),
