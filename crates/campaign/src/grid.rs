@@ -10,6 +10,7 @@
 use std::path::PathBuf;
 
 use dance::pareto::fnv_fold;
+use dance::prelude::{LambdaWarmup, SearchConfig};
 use dance_accel::config::AcceleratorConfig;
 use dance_accel::space::HardwareSpace;
 use dance_accel::workload::SlotChoice;
@@ -141,12 +142,14 @@ impl CampaignSpec {
         }
     }
 
-    /// Validates the grid.
+    /// Validates the grid: no axis is empty, and every cell's
+    /// [`CampaignSpec::cell_config`] builds.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first empty axis, zero epoch/batch
-    /// count, or non-finite/negative λ₂.
+    /// Returns a description of the first empty axis, or what
+    /// `SearchConfig` refuses in the first cell it refuses: zero epochs, a
+    /// batch below 2, a negative or non-finite λ₂.
     pub fn validate(&self) -> Result<(), String> {
         if self.lambda2.is_empty() {
             return Err("campaign needs at least one lambda2 value".into());
@@ -157,16 +160,26 @@ impl CampaignSpec {
         if self.envelopes.is_empty() {
             return Err("campaign needs at least one envelope".into());
         }
-        if self.epochs == 0 {
-            return Err("campaign epochs must be >= 1".into());
-        }
-        if self.batch_size == 0 {
-            return Err("campaign batch size must be >= 1".into());
-        }
-        if let Some(l) = self.lambda2.iter().find(|l| !l.is_finite() || **l < 0.0) {
-            return Err(format!("lambda2 values must be finite and >= 0, got {l}"));
-        }
-        Ok(())
+        self.cells()
+            .iter()
+            .try_for_each(|cell| self.cell_config(cell).map(drop))
+    }
+
+    /// The search `cell` runs: the campaign's epochs and batch size, the
+    /// cell's λ₂ ramped in over the first half of the epochs, and the
+    /// cell's seed. Validation and the runner both build it here.
+    ///
+    /// # Errors
+    ///
+    /// Passes on what `SearchConfig`'s own validation refuses.
+    pub fn cell_config(&self, cell: &Cell) -> Result<SearchConfig, String> {
+        SearchConfig::builder()
+            .epochs(self.epochs)
+            .batch_size(self.batch_size)
+            .lambda2(LambdaWarmup::ramp(cell.lambda2, (self.epochs / 2).max(1)))
+            .seed(cell.seed)
+            .build()
+            .map_err(|e| e.to_string())
     }
 
     /// The grid as cells, row-major over (λ₂, dataset seed, envelope).
@@ -298,5 +311,11 @@ mod tests {
         spec.epochs = 2;
         spec.lambda2 = vec![f32::NAN];
         assert!(spec.validate().is_err());
+        // Batch norm needs two rows: a batch of 1 is refused up front, not
+        // by every cell's search.
+        let mut spec = CampaignSpec::smoke(std::env::temp_dir().join("dance_grid_val"), 2);
+        spec.batch_size = 1;
+        let err = spec.validate().expect_err("batch 1 is refused");
+        assert!(err.contains("batch_size"), "{err}");
     }
 }

@@ -33,8 +33,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dance::prelude::{
-    dance_search_traced, evaluate_fixed, Frontier, FrontierEntry, InsertOutcome, LambdaWarmup,
-    ParetoPoint, Penalty, SearchConfig,
+    dance_search_traced, evaluate_fixed, Frontier, FrontierEntry, InsertOutcome, ParetoPoint,
+    Penalty,
 };
 use dance_accel::space::HardwareSpace;
 use dance_accel::workload::NetworkTemplate;
@@ -449,12 +449,8 @@ fn run_cell(ctx: &CampaignCtx, cell: &Cell, resume: bool, tx: &Sender<CellMsg>) 
     let net = Supernet::new(SupernetConfig::tiny(), &mut rng);
     let arch = ArchParams::new(net.num_slots(), &mut rng);
     let template = NetworkTemplate::cifar10();
-    let cfg = SearchConfig::builder()
-        .epochs(spec.epochs)
-        .batch_size(spec.batch_size)
-        .lambda2(LambdaWarmup::ramp(cell.lambda2, (spec.epochs / 2).max(1)))
-        .seed(cell.seed)
-        .build()
+    let cfg = spec
+        .cell_config(cell)
         .expect("campaign cell config validated by CampaignSpec::validate");
     let guard_cfg = GuardConfig {
         checkpoint: Some(CheckpointConfig::every_epoch(cell_dir.clone())),

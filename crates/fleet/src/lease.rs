@@ -10,8 +10,9 @@
 //! leases are not enough on their own.
 //!
 //! The table is pure state (no clock, no I/O): callers pass `now_ms` in,
-//! which keeps every transition unit-testable and the supervisor loop free
-//! to define time however it likes (it uses a monotonic instant).
+//! which keeps every transition unit-testable and leaves time to the
+//! supervisor's clock — monotonic in production, manual in the drills. Its
+//! sweep sleeps until [`LeaseTable::next_deadline`], not on a tick.
 
 use std::collections::BTreeMap;
 
@@ -76,13 +77,22 @@ impl LeaseTable {
     /// whether the release took — a `false` means the result that prompted
     /// it is stale and must be discarded.
     pub fn release(&mut self, job: &str, worker: &str, attempt: u64) -> bool {
-        match self.leases.get(job) {
-            Some(l) if l.worker == worker && l.attempt == attempt => {
-                self.leases.remove(job);
-                true
-            }
-            _ => false,
-        }
+        self.holds(job, worker, attempt) && self.leases.remove(job).is_some()
+    }
+
+    /// Whether `worker` still holds `job`'s lease for `attempt`.
+    #[must_use]
+    pub fn holds(&self, job: &str, worker: &str, attempt: u64) -> bool {
+        self.leases
+            .get(job)
+            .is_some_and(|l| l.worker == worker && l.attempt == attempt)
+    }
+
+    /// The earliest deadline among live leases: when the next reclaim can
+    /// happen, if no renewal pushes it out first.
+    #[must_use]
+    pub fn next_deadline(&self) -> Option<u64> {
+        self.leases.values().map(|l| l.expires_ms).min()
     }
 
     /// Removes and returns every lease whose deadline passed.
@@ -102,24 +112,6 @@ impl LeaseTable {
         }
         out
     }
-
-    /// The live lease on `job`, if any.
-    #[must_use]
-    pub fn get(&self, job: &str) -> Option<&Lease> {
-        self.leases.get(job)
-    }
-
-    /// Number of live leases.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.leases.len()
-    }
-
-    /// Whether no leases are live.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.leases.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -131,9 +123,9 @@ mod tests {
         let mut t = LeaseTable::new(100);
         t.grant("j", "w0", 1, 0);
         assert!(t.renew("j", "w0", 1, 50));
-        assert_eq!(t.get("j").expect("lease").expires_ms, 150);
+        assert_eq!(t.next_deadline(), Some(150));
         assert!(t.release("j", "w0", 1));
-        assert!(t.is_empty());
+        assert_eq!(t.next_deadline(), None);
     }
 
     #[test]
@@ -164,12 +156,15 @@ mod tests {
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].0, "a");
         assert_eq!(expired[0].1.worker, "w0");
-        assert!(t.get("a").is_none());
-        assert!(t.get("b").is_some());
+        assert!(!t.holds("a", "w0", 1));
+        assert!(t.holds("b", "w1", 1));
         // A renewal pushes the deadline out.
+        assert_eq!(t.next_deadline(), Some(150));
         assert!(t.renew("b", "w1", 1, 140));
+        assert_eq!(t.next_deadline(), Some(240));
         assert!(t.expire(150).is_empty());
         assert_eq!(t.expire(241).len(), 1);
+        assert_eq!(t.next_deadline(), None);
     }
 
     #[test]

@@ -488,20 +488,6 @@ pub struct LedgerStore {
 }
 
 impl LedgerStore {
-    /// Creates a store over `dir` (created if missing) with no generations
-    /// yet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn create(dir: &Path) -> io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            next_gen: 0,
-        })
-    }
-
     /// Opens `dir`, loading the newest parseable generation. Returns the
     /// store, the recovered ledger (empty if no generation survives) and
     /// how many torn/unreadable generations were skipped on the way back.
@@ -579,26 +565,15 @@ impl LedgerStore {
     /// Path of the most recently written generation, if any.
     #[must_use]
     pub fn newest_path(&self) -> Option<PathBuf> {
-        if self.next_gen == 0 {
-            None
-        } else {
-            Some(
-                self.dir
-                    .join(format!("ledger-{:06}.json", self.next_gen - 1)),
-            )
-        }
+        let newest = self.next_gen.checked_sub(1)?;
+        Some(self.dir.join(format!("ledger-{newest:06}.json")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dance_fleet_{name}_{}", std::process::id()));
-        let _unused = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::tmp_dir;
 
     fn sample_ledger() -> Ledger {
         let mut l = Ledger::new();
@@ -754,7 +729,7 @@ mod tests {
     #[test]
     fn store_walks_back_over_torn_generations() {
         let dir = tmp_dir("torn_gen");
-        let mut store = LedgerStore::create(&dir).expect("create");
+        let (mut store, ..) = LedgerStore::open(&dir).expect("open");
         let good = sample_ledger();
         store.save(&good).expect("gen 0");
         let mut newer = good.clone();
@@ -776,7 +751,7 @@ mod tests {
     #[test]
     fn store_prunes_old_generations() {
         let dir = tmp_dir("prune");
-        let mut store = LedgerStore::create(&dir).expect("create");
+        let (mut store, ..) = LedgerStore::open(&dir).expect("open");
         let l = sample_ledger();
         for _ in 0..8 {
             store.save(&l).expect("save");

@@ -35,12 +35,15 @@
 //! ledger stores what they write, and a child gets the same fields as
 //! `--spec '<JSON>'` beside `--ckpt`, `--resume` and its chaos flags.
 //! Submission is idempotent (the job id is the spec digest) and bounded by
-//! [`supervisor::FleetOpts::max_pending`].
+//! [`supervisor::FleetOpts::max_pending`]. Nothing in the fleet polls: idle
+//! workers, waiters and the lease sweep block on one condvar, and the sweep
+//! wakes at the earliest lease deadline on the fleet's clock, which is
+//! monotonic, or a [`supervisor::ManualClock`] that a drill advances.
 //!
 //! Chaos drills are first-class. [`worker::AttemptChaos`] scripts a job's
-//! first attempt to die, stall its heartbeat or run slow, on either
-//! transport, and a fleet of child workers can also deliver a real
-//! `SIGKILL` mid-search.
+//! first attempt to die or to stall (stop heartbeating and hold until its
+//! lease is gone), on either transport, and a fleet of child workers can
+//! also deliver a real `SIGKILL` mid-search.
 
 pub mod lease;
 pub mod ledger;
@@ -48,13 +51,21 @@ pub mod process;
 pub mod supervisor;
 pub mod worker;
 
+/// A fresh scratch directory, unique to this test process.
+#[cfg(test)]
+fn tmp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dance_fleet_{name}_{}", std::process::id()));
+    let _unused = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 /// Convenient glob-import of the fleet's most used items.
 pub mod prelude {
     pub use crate::lease::{Lease, LeaseTable};
     pub use crate::ledger::{JobRecord, JobResult, JobSpec, JobStatus, Ledger, LedgerStore};
     pub use crate::process::run_fleet;
     pub use crate::supervisor::{
-        Fleet, FleetCounts, FleetOpts, JobView, SubmitError, WorkerHealth,
+        Fleet, FleetCounts, FleetOpts, JobView, ManualClock, SubmitError, WorkerHealth,
     };
     pub use crate::worker::{run_job, worker_main, AttemptChaos, WorkerArgs};
 }

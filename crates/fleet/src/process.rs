@@ -7,7 +7,8 @@
 //! final `done` or `failed` line. This module spawns that child and parses
 //! its lines; the supervisor ([`crate::supervisor`]) owns everything the
 //! lines drive — lease renewal, fencing-checked completion, reclaim on pipe
-//! EOF and the `SIGKILL` of a child whose lease expired. Because workers
+//! EOF and the `SIGKILL` of a child whose lease expired — and holds the
+//! child's stdin, the pipe a stalled child blocks on. Because workers
 //! are real processes, the kill drill is a real `SIGKILL` — no unwinding,
 //! no destructors — and recovery is the real path: the next dispatch passes
 //! `--resume` and the child picks up from the last durable checkpoint.
@@ -34,12 +35,14 @@ pub(crate) enum WorkerEvent {
     Failed(String),
 }
 
-/// Spawns `<exe> --worker ...` for one attempt with its stdout piped.
+/// Spawns `<exe> --worker ...` for one attempt with its stdin and stdout
+/// piped. Nothing is written to stdin: it closes when the supervisor drops
+/// the child's handle or exits, which is what ends a stalled child.
 pub(crate) fn spawn_worker(exe: &Path, args: &WorkerArgs) -> io::Result<Child> {
     Command::new(exe)
         .arg("--worker")
         .args(args.to_argv())
-        .stdin(Stdio::null())
+        .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         // lint: allow(raw-spawn) OS process, not a thread; fleet workers are child processes by design
@@ -88,7 +91,8 @@ pub fn run_fleet(opts: FleetOpts, specs: &[JobSpec]) -> io::Result<(FleetCounts,
         fleet.shutdown();
         return Err(io::Error::new(io::ErrorKind::InvalidInput, e));
     }
-    while !fleet.wait_settled(Duration::from_secs(60)) {}
+    // Unbounded, so the wait returns only once every job has settled.
+    let _settled = fleet.wait_settled(Duration::MAX);
     let out = (fleet.counts(), fleet.jobs());
     fleet.shutdown();
     Ok(out)

@@ -19,10 +19,17 @@
 //! back, and a new one is refused with [`SubmitError::Full`] while
 //! [`FleetOpts::max_pending`] jobs wait.
 //!
+//! Nothing polls. Every wait — an idle worker, [`Fleet::wait_for`], a
+//! stalled attempt holding its lease, and the sweep until the earliest
+//! lease deadline or the chaos-kill time — is a wait on one `Condvar`
+//! paired with the core lock, and every change to the core notifies it.
+//! Time is one clock: monotonic, or a [`ManualClock`] that a drill
+//! advances (an advance wakes the sweep).
+//!
 //! Locking follows the workspace single-lock rule: all mutable state,
-//! running children included, lives in one `Mutex<Core>` taken as a
-//! statement temporary, never across I/O, a wait or a join (a `SIGKILL`
-//! sent under it does not block). Ledger writes
+//! running children included, lives in one `Mutex<Core>`, never held
+//! across I/O or a join (a `SIGKILL` sent or a pipe closed under it does
+//! not block) and released by every condvar wait. Ledger writes
 //! happen outside that lock under a dedicated leaf mutex, ordered by a save
 //! sequence so a stale render can never clobber a newer generation.
 
@@ -31,8 +38,8 @@ use std::io::{self, BufRead, BufReader};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::Child;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use dance_guard::GuardReport;
@@ -69,12 +76,17 @@ pub struct FleetOpts {
     /// child process instead of on its worker thread.
     pub worker_exe: Option<PathBuf>,
     /// Chaos drill for child workers: `SIGKILL` one running child once,
-    /// this many ms after start. `None` runs clean.
+    /// this many fleet-clock ms after start. `None` runs clean.
     pub chaos_kill_after_ms: Option<u64>,
+    /// Test seam: the clock leases, heartbeats and the chaos kill run on.
+    /// `None`, the default and what every binary runs, is monotonic time
+    /// since [`Fleet::start`]; a drill sets a [`ManualClock`] it advances.
+    pub clock: Option<ManualClock>,
 }
 
 impl FleetOpts {
-    /// Defaults: 2 worker threads, 3 s leases, no pending bound, no chaos.
+    /// Defaults: 2 worker threads, 3 s leases, no pending bound, no chaos,
+    /// the monotonic clock.
     #[must_use]
     pub fn new(dir: PathBuf) -> Self {
         Self {
@@ -85,6 +97,7 @@ impl FleetOpts {
             chaos: AttemptChaos::default(),
             worker_exe: None,
             chaos_kill_after_ms: None,
+            clock: None,
         }
     }
 
@@ -114,6 +127,48 @@ impl FleetOpts {
     pub fn with_chaos(mut self, chaos: AttemptChaos) -> Self {
         self.chaos = chaos;
         self
+    }
+}
+
+/// A fleet clock that moves only when [`ManualClock::advance`] moves it, so
+/// a drill expires a lease at the event it means instead of racing the
+/// host's speed. It starts at 0, clones share it, and it drives one fleet.
+#[derive(Clone, Default)]
+pub struct ManualClock {
+    now_ms: Arc<AtomicU64>,
+    /// The fleet on this clock, woken by every advance.
+    fleet: Arc<OnceLock<Weak<Shared>>>,
+}
+
+impl ManualClock {
+    /// A clock at 0.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The current time, milliseconds.
+    #[must_use]
+    pub fn now_ms(&self) -> u64 {
+        self.now_ms.load(Ordering::SeqCst)
+    }
+
+    /// Moves time forward by `ms` and wakes the fleet on this clock, so its
+    /// sweep reclaims whatever the new time expired.
+    pub fn advance(&self, ms: u64) {
+        self.now_ms.fetch_add(ms, Ordering::SeqCst);
+        if let Some(shared) = self.fleet.get().and_then(Weak::upgrade) {
+            // Taking the core lock orders this advance after any sweep that
+            // read the old time and is about to wait, so the wake-up lands.
+            drop(shared.core());
+            shared.cv.notify_all();
+        }
+    }
+}
+
+impl std::fmt::Debug for ManualClock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ManualClock({} ms)", self.now_ms())
     }
 }
 
@@ -149,19 +204,9 @@ pub struct WorkerHealth {
     pub job: Option<String>,
     /// Jobs completed by this worker.
     pub done: u64,
-    /// Last heartbeat, fleet-clock milliseconds.
-    pub last_beat_ms: u64,
-}
-
-impl WorkerHealth {
-    fn idle() -> Self {
-        Self {
-            state: "idle".to_string(),
-            job: None,
-            done: 0,
-            last_beat_ms: 0,
-        }
-    }
+    /// Fleet-clock time of the latest renewed heartbeat of this worker's
+    /// current (or last) attempt; `None` until that attempt's first one.
+    pub last_beat_ms: Option<u64>,
 }
 
 /// Read-only view of one job's state.
@@ -252,6 +297,7 @@ struct Core {
     fenced: u64,
     guard: GuardReport,
     draining: bool,
+    shutdown: bool,
     dirty: bool,
     save_seq: u64,
 }
@@ -263,9 +309,11 @@ struct Saver {
 
 struct Shared {
     core: Mutex<Core>,
+    /// Paired with `core`: notified after every change to it.
+    cv: Condvar,
     saver: Mutex<Saver>,
     start: Instant,
-    shutdown: AtomicBool,
+    clock: Option<ManualClock>,
     ckpt_root: PathBuf,
     max_pending: usize,
     chaos: AttemptChaos,
@@ -275,10 +323,13 @@ struct Shared {
 
 impl Shared {
     fn now_ms(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
+        match &self.clock {
+            Some(clock) => clock.now_ms(),
+            None => u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX),
+        }
     }
 
-    fn core(&self) -> std::sync::MutexGuard<'_, Core> {
+    fn core(&self) -> MutexGuard<'_, Core> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -324,6 +375,10 @@ impl Fleet {
     /// # Errors
     ///
     /// Propagates ledger/checkpoint directory creation failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `opts.clock` already drives another fleet.
     pub fn start(opts: FleetOpts) -> io::Result<Self> {
         let (store, ledger, skipped) = LedgerStore::open(&opts.dir.join("ledger"))?;
         if skipped > 0 {
@@ -334,7 +389,13 @@ impl Fleet {
         let workers = opts.workers.max(1);
         let mut health = BTreeMap::new();
         for w in 0..workers {
-            health.insert(format!("fleet-w{w}"), WorkerHealth::idle());
+            let idle = WorkerHealth {
+                state: "idle".to_string(),
+                job: None,
+                done: 0,
+                last_beat_ms: None,
+            };
+            health.insert(format!("fleet-w{w}"), idle);
         }
         let shared = Arc::new(Shared {
             core: Mutex::new(Core {
@@ -349,18 +410,24 @@ impl Fleet {
                 fenced: 0,
                 guard: GuardReport::default(),
                 draining: false,
+                shutdown: false,
                 dirty: false,
                 save_seq: 0,
             }),
+            cv: Condvar::new(),
             saver: Mutex::new(Saver { store, last_seq: 0 }),
             start: Instant::now(),
-            shutdown: AtomicBool::new(false),
+            clock: opts.clock,
             ckpt_root,
             max_pending: opts.max_pending,
             chaos: opts.chaos,
             worker_exe: opts.worker_exe,
             chaos_kill_after_ms: opts.chaos_kill_after_ms,
         });
+        if let Some(clock) = &shared.clock {
+            let first = clock.fleet.set(Arc::downgrade(&shared)).is_ok();
+            assert!(first, "a manual clock drives one fleet");
+        }
         let mut threads = Vec::with_capacity(workers + 1);
         for w in 0..workers {
             let s = Arc::clone(&shared);
@@ -373,7 +440,7 @@ impl Fleet {
         threads.push(dance_backend::spawn_service(
             "fleet-supervisor",
             move || {
-                supervisor_loop(&s);
+                sweep_loop(&s);
             },
         )?);
         Ok(Self {
@@ -414,6 +481,7 @@ impl Fleet {
             }
             (id, deduped)
         };
+        self.shared.cv.notify_all();
         self.shared.persist();
         Ok(out)
     }
@@ -427,48 +495,48 @@ impl Fleet {
 
     /// Stops accepting new jobs; queued and leased work still completes.
     pub fn drain(&self) {
-        let mut core = self.shared.core();
-        core.draining = true;
+        self.shared.core().draining = true;
+        self.shared.cv.notify_all();
     }
 
-    /// Whether every submitted job reached a terminal state.
+    /// Blocks until `done` holds for the fleet's [`FleetCounts`] or
+    /// `timeout` of wall time passes, checking again at every change the
+    /// fleet makes: a submit, claim, renewed heartbeat, result, reclaim,
+    /// drain or shutdown. Returns whether `done` held. `Duration::MAX`
+    /// waits as long as it takes. `done` runs under the fleet's lock, so
+    /// it must not call back into the fleet.
     #[must_use]
-    pub fn is_settled(&self) -> bool {
-        self.shared.core().ledger.all_settled()
+    pub fn wait_for(&self, timeout: Duration, done: impl Fn(&FleetCounts) -> bool) -> bool {
+        let deadline = Instant::now().checked_add(timeout);
+        let mut core = self.shared.core();
+        while !done(&core.counts()) {
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            if left.is_zero() {
+                return false;
+            }
+            core = self
+                .shared
+                .cv
+                .wait_timeout(core, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        true
     }
 
-    /// Polls until every job settles or `timeout` passes. Returns whether
-    /// the fleet settled.
+    /// Waits until every job settles or `timeout` passes, as
+    /// [`Fleet::wait_for`] does. Returns whether the fleet settled.
     #[must_use]
     pub fn wait_settled(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if self.is_settled() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        self.is_settled()
+        self.wait_for(timeout, |c| c.pending + c.leased == 0)
     }
 
     /// Snapshot of counts, per-worker health and recovery latencies.
     #[must_use]
     pub fn counts(&self) -> FleetCounts {
-        let core = self.shared.core();
-        let (pending, leased, done, failed) = core.ledger.counts();
-        FleetCounts {
-            pending,
-            leased,
-            done,
-            failed,
-            reclaims: core.reclaims,
-            kills: core.kills,
-            fenced: core.fenced,
-            recoveries_ms: core.recoveries_ms.clone(),
-            draining: core.draining,
-            workers: core.health.clone(),
-            guard: core.guard.clone(),
-        }
+        self.shared.core().counts()
     }
 
     /// All jobs, sorted by id.
@@ -484,20 +552,26 @@ impl Fleet {
 
     /// Stops the fleet: signals shutdown, lets each running attempt
     /// finish, joins every thread and persists the final ledger state.
-    /// Jobs still pending stay in the ledger for the next incarnation.
+    /// Jobs still pending stay in the ledger for the next incarnation. A
+    /// stalled attempt holding its lease is released: a thread attempt
+    /// runs on, and a child, whose stdin closes here, ends.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            let mut core = self.shared.core();
+            core.shutdown = true;
+            for (_, _, child) in core.children.values_mut() {
+                child.stdin = None;
+            }
+        }
+        self.shared.cv.notify_all();
         let threads =
             std::mem::take(&mut *self.threads.lock().unwrap_or_else(PoisonError::into_inner));
-        // Joins happen with no lock held; worker threads only ever take
-        // the core lock as a statement temporary.
+        // Joins happen with no lock held; every fleet thread releases the
+        // core lock while it waits or runs an attempt.
         for t in threads {
             let _unused = t.join();
         }
-        {
-            let mut core = self.shared.core();
-            core.dirty = true;
-        }
+        self.shared.core().dirty = true;
         self.shared.persist();
     }
 }
@@ -520,57 +594,26 @@ fn job_view(id: &str, r: &JobRecord) -> JobView {
     v
 }
 
-/// Claims the first pending job for `worker`, bumping its attempt (the
-/// fencing token) and granting the lease.
-fn claim_next(shared: &Shared, worker: &str) -> Option<(String, JobSpec, u64)> {
-    let now = shared.now_ms();
-    let mut core = shared.core();
-    let id = core
-        .ledger
-        .jobs
-        .iter()
-        .find(|(_, r)| r.status == JobStatus::Pending)
-        .map(|(id, _)| id.clone())?;
-    let (spec, attempt) = {
-        let rec = core.ledger.jobs.get_mut(&id).expect("job just found");
-        rec.attempt += 1;
-        rec.status = JobStatus::Leased {
-            worker: worker.to_string(),
-        };
-        (rec.spec, rec.attempt)
-    };
-    core.leases.grant(&id, worker, attempt, now);
-    if let Some(h) = core.health.get_mut(worker) {
-        h.state = "busy".to_string();
-        h.job = Some(id.clone());
-        h.last_beat_ms = now;
-    }
-    core.dirty = true;
-    Some((id, spec, attempt))
-}
-
+/// An idle worker waits until a job is pending (and claims it), the fleet
+/// has drained and settled, or it shuts down.
 fn worker_loop(shared: &Shared, worker: &str) {
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match claim_next(shared, worker) {
-            Some((id, spec, attempt)) => {
-                shared.persist();
-                execute_attempt(shared, worker, &id, spec, attempt);
-                shared.persist();
-            }
-            None => {
-                let settled = {
-                    let core = shared.core();
-                    core.draining && core.ledger.all_settled()
-                };
-                if settled {
+        let (id, spec, attempt) = {
+            let mut core = shared.core();
+            loop {
+                if core.shutdown || (core.draining && core.ledger.all_settled()) {
                     return;
                 }
-                std::thread::sleep(Duration::from_millis(25));
+                if let Some(claim) = core.claim(worker, shared.now_ms()) {
+                    break claim;
+                }
+                core = shared.cv.wait(core).unwrap_or_else(PoisonError::into_inner);
             }
-        }
+        };
+        shared.cv.notify_all();
+        shared.persist();
+        execute_attempt(shared, worker, &id, spec, attempt);
+        shared.persist();
     }
 }
 
@@ -604,6 +647,7 @@ fn execute_attempt(shared: &Shared, worker: &str, id: &str, spec: JobSpec, attem
         None => run_in_thread(shared, worker, id, attempt, &args),
     };
     finish(shared, worker, id, attempt, ending);
+    shared.cv.notify_all();
 }
 
 /// Runs the attempt on this thread, applying its chaos script here.
@@ -618,11 +662,15 @@ fn run_in_thread(
     let mut stalled = false;
     let result = catch_unwind(AssertUnwindSafe(|| {
         run_job(&args.spec, &args.ckpt, args.resume, &mut |epoch| {
-            if let Some(ms) = chaos.slow_ms {
-                std::thread::sleep(Duration::from_millis(ms));
-            }
-            if chaos.stall_from.is_some_and(|s| epoch >= s) {
+            if !stalled && chaos.stall_from.is_some_and(|s| epoch >= s) {
+                // No more heartbeats: hold until the lease is gone or the
+                // fleet shuts down, then run on to a result that fencing
+                // discards (or, at shutdown, commits).
                 stalled = true;
+                let mut core = shared.core();
+                while !core.shutdown && core.leases.holds(id, worker, attempt) {
+                    core = shared.cv.wait(core).unwrap_or_else(PoisonError::into_inner);
+                }
             }
             if !stalled && !renew(shared, worker, id, attempt) {
                 // Fenced off: the lease expired and the job belongs to
@@ -665,10 +713,16 @@ fn run_child(
         Err(e) => return Ending::Failed(format!("cannot spawn {}: {e}", exe.display())),
     };
     let stdout = child.stdout.take().expect("stdout was piped");
-    shared
-        .core()
-        .children
-        .insert(worker.to_string(), (id.to_string(), attempt, child));
+    {
+        let mut core = shared.core();
+        if core.shutdown {
+            // Shutdown already closed the other children's stdin.
+            child.stdin = None;
+        }
+        core.children
+            .insert(worker.to_string(), (id.to_string(), attempt, child));
+    }
+    shared.cv.notify_all();
     let mut lines = BufReader::new(stdout).lines();
     let ending = loop {
         let Some(Ok(line)) = lines.next() else {
@@ -699,14 +753,17 @@ fn run_child(
 /// job's recovery timer.
 fn renew(shared: &Shared, worker: &str, id: &str, attempt: u64) -> bool {
     let now = shared.now_ms();
-    let mut core = shared.core();
-    if !core.leases.renew(id, worker, attempt, now) {
-        return false;
+    {
+        let mut core = shared.core();
+        if !core.leases.renew(id, worker, attempt, now) {
+            return false;
+        }
+        if let Some(h) = core.health.get_mut(worker) {
+            h.last_beat_ms = Some(now);
+        }
+        core.recovered(id, now);
     }
-    if let Some(h) = core.health.get_mut(worker) {
-        h.last_beat_ms = now;
-    }
-    core.recovered(id, now);
+    shared.cv.notify_all();
     true
 }
 
@@ -752,6 +809,49 @@ fn finish(shared: &Shared, worker: &str, id: &str, attempt: u64, ending: Ending)
 }
 
 impl Core {
+    /// Claims the first pending job for `worker`, bumping its attempt (the
+    /// fencing token) and granting the lease.
+    fn claim(&mut self, worker: &str, now: u64) -> Option<(String, JobSpec, u64)> {
+        let (id, rec) = self
+            .ledger
+            .jobs
+            .iter_mut()
+            .find(|(_, r)| r.status == JobStatus::Pending)?;
+        rec.attempt += 1;
+        rec.status = JobStatus::Leased {
+            worker: worker.to_string(),
+        };
+        let (id, spec, attempt) = (id.clone(), rec.spec, rec.attempt);
+        self.leases.grant(&id, worker, attempt, now);
+        if let Some(h) = self.health.get_mut(worker) {
+            h.state = "busy".to_string();
+            h.job = Some(id.clone());
+            h.last_beat_ms = None;
+        }
+        self.dirty = true;
+        Some((id, spec, attempt))
+    }
+
+    /// Reclaims every lease expired at `now`, SIGKILLing the child that
+    /// held it (a child that stopped heartbeating may still be computing).
+    /// Returns whether anything was reclaimed.
+    fn expire(&mut self, now: u64) -> bool {
+        let expired = self.leases.expire(now);
+        for (job, lease) in &expired {
+            if let Some((held, attempt, child)) = self.children.get_mut(&lease.worker) {
+                if held == job && *attempt == lease.attempt {
+                    let _unused = child.kill();
+                }
+            }
+            self.reclaim(job, now);
+            if let Some(h) = self.health.get_mut(&lease.worker) {
+                h.state = "suspect".to_string();
+                h.job = None;
+            }
+        }
+        !expired.is_empty()
+    }
+
     /// Reverts a job whose lease is gone to pending and starts its
     /// recovery timer, unless one is already running.
     fn reclaim(&mut self, job: &str, now: u64) {
@@ -774,44 +874,71 @@ impl Core {
             dance_telemetry::histogram!("fleet.recovery_ms", latency as f64);
         }
     }
+
+    fn counts(&self) -> FleetCounts {
+        let (pending, leased, done, failed) = self.ledger.counts();
+        FleetCounts {
+            pending,
+            leased,
+            done,
+            failed,
+            reclaims: self.reclaims,
+            kills: self.kills,
+            fenced: self.fenced,
+            recoveries_ms: self.recoveries_ms.clone(),
+            draining: self.draining,
+            workers: self.health.clone(),
+            guard: self.guard.clone(),
+        }
+    }
 }
 
-/// The lease sweep: reclaims expired leases, SIGKILLs the child of each
-/// (a child that stopped heartbeating may still be computing) and delivers
-/// the one-shot chaos kill.
-fn supervisor_loop(shared: &Shared) {
+/// The lease sweep: waits until the earliest lease deadline or the
+/// pending chaos-kill time, or until notified, then reclaims expired
+/// leases and delivers the one-shot chaos kill to a running child. After
+/// either it notifies and persists the ledger with the lock released.
+fn sweep_loop(shared: &Shared) {
     let mut chaos_kill_at = shared.chaos_kill_after_ms;
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-        let now = shared.now_ms();
         {
-            let mut guard = shared.core();
-            let core = &mut *guard;
-            let expired = core.leases.expire(now);
-            for (job, lease) in expired {
-                if let Some((held, attempt, child)) = core.children.get_mut(&lease.worker) {
-                    if *held == job && *attempt == lease.attempt {
+            let mut core = shared.core();
+            loop {
+                if core.shutdown {
+                    return;
+                }
+                let now = shared.now_ms();
+                let mut changed = core.expire(now);
+                if chaos_kill_at.is_some_and(|at| now >= at) {
+                    if let Some((_, _, child)) = core.children.values_mut().next() {
                         let _unused = child.kill();
+                        core.kills += 1;
+                        dance_telemetry::counter!("fleet.chaos.kills");
+                        chaos_kill_at = None;
+                        changed = true;
                     }
                 }
-                core.reclaim(&job, now);
-                if let Some(h) = core.health.get_mut(&lease.worker) {
-                    h.state = "suspect".to_string();
-                    h.job = None;
+                if changed {
+                    break;
                 }
-            }
-            if chaos_kill_at.is_some_and(|at| now >= at) {
-                if let Some((_, _, child)) = core.children.values_mut().next() {
-                    let _unused = child.kill();
-                    core.kills += 1;
-                    dance_telemetry::counter!("fleet.chaos.kills");
-                    chaos_kill_at = None;
-                }
+                // A kill already due waits for a child's spawn, which
+                // notifies. A manual clock moves only by an advance, which
+                // notifies too, so it needs no timeout.
+                let kill_at = chaos_kill_at.filter(|at| *at > now);
+                let wake_at = core.leases.next_deadline().into_iter().chain(kill_at).min();
+                let timeout = match wake_at {
+                    Some(at) if shared.clock.is_none() => {
+                        Duration::from_millis(at.saturating_sub(now))
+                    }
+                    _ => Duration::MAX,
+                };
+                core = shared
+                    .cv
+                    .wait_timeout(core, timeout)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
             }
         }
+        shared.cv.notify_all();
         shared.persist();
     }
 }
@@ -819,6 +946,7 @@ fn supervisor_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tmp_dir;
 
     #[test]
     fn percentile_is_nearest_rank() {
@@ -831,115 +959,7 @@ mod tests {
         assert_eq!(percentile(&unsorted, 1.0), Some(30));
     }
 
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dance_fleet_{name}_{}", std::process::id()));
-        let _unused = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
     const DEADLINE: Duration = Duration::from_secs(120);
-
-    #[test]
-    fn clean_fleet_settles_and_matches_direct_digests() {
-        let dir = tmp_dir("sup_clean");
-        let fleet = Fleet::start(FleetOpts::new(dir.clone()).with_workers(2)).expect("start");
-        let specs = [JobSpec::new(3, 16, 41, 0.1), JobSpec::new(3, 16, 42, 0.1)];
-        let mut ids = Vec::new();
-        for spec in specs {
-            let (id, deduped) = fleet.submit(spec).expect("submit");
-            assert!(!deduped);
-            ids.push((id, spec));
-        }
-        // Idempotent: the same spec resolves to the same job.
-        let (again, deduped) = fleet.submit(specs[0]).expect("resubmit");
-        assert!(deduped);
-        assert_eq!(again, ids[0].0);
-
-        assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
-        for (id, spec) in &ids {
-            let view = fleet.status(id).expect("status");
-            assert_eq!(view.state, "done", "job {id}: {:?}", view.error);
-            let reference = run_job(&spec.clone(), &tmp_dir("sup_clean_ref"), false, &mut |_| {});
-            assert_eq!(view.digest(), Some(reference.digest));
-        }
-        let counts = fleet.counts();
-        assert_eq!(counts.done, 2);
-        assert_eq!(counts.reclaims, 0);
-        fleet.shutdown();
-        let _cleanup = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn draining_fleet_rejects_new_jobs() {
-        let dir = tmp_dir("sup_drain");
-        let fleet = Fleet::start(FleetOpts::new(dir.clone()).with_workers(1)).expect("start");
-        fleet.drain();
-        let err = fleet
-            .submit(JobSpec::new(2, 16, 1, 0.1))
-            .expect_err("draining fleet must reject");
-        assert_eq!(err, SubmitError::Draining);
-        assert!(fleet.counts().draining);
-        fleet.shutdown();
-        let _cleanup = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn killed_attempt_is_reclaimed_and_resumes_bit_exact() {
-        let dir = tmp_dir("sup_kill");
-        let ref_dir = tmp_dir("sup_kill_ref");
-        let spec = JobSpec::new(4, 16, 51, 0.1);
-        let straight = run_job(&spec, &ref_dir, false, &mut |_| {});
-
-        let chaos = AttemptChaos {
-            kill_after: Some(1),
-            stall_from: None,
-            slow_ms: None,
-        };
-        // Short TTL so the reclaim happens fast.
-        let fleet = Fleet::start(
-            FleetOpts::new(dir.clone())
-                .with_workers(2)
-                .with_lease_ttl_ms(300)
-                .with_chaos(chaos),
-        )
-        .expect("start");
-        let (id, _) = fleet.submit(spec).expect("submit");
-        assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
-        let view = fleet.status(&id).expect("status");
-        assert_eq!(view.state, "done", "job: {:?}", view.error);
-        assert_eq!(view.digest(), Some(straight.digest), "handoff is bit-exact");
-        assert!(view.attempt >= 2, "job was re-dispatched");
-        let counts = fleet.counts();
-        assert!(counts.reclaims >= 1, "lease was reclaimed");
-        assert!(
-            !counts.recoveries_ms.is_empty(),
-            "recovery latency recorded"
-        );
-        fleet.shutdown();
-        let _cleanup = std::fs::remove_dir_all(&dir);
-        let _cleanup2 = std::fs::remove_dir_all(&ref_dir);
-    }
-
-    #[test]
-    fn fleet_restart_recovers_done_jobs_from_the_ledger() {
-        let dir = tmp_dir("sup_restart");
-        let spec = JobSpec::new(3, 16, 61, 0.1);
-        let (id, digest) = {
-            let fleet = Fleet::start(FleetOpts::new(dir.clone()).with_workers(1)).expect("start");
-            let (id, _) = fleet.submit(spec).expect("submit");
-            assert!(fleet.wait_settled(DEADLINE));
-            let digest = fleet.status(&id).expect("status").digest().expect("digest");
-            fleet.shutdown();
-            (id, digest)
-        };
-        // A new incarnation over the same dir sees the finished job.
-        let fleet = Fleet::start(FleetOpts::new(dir.clone()).with_workers(1)).expect("restart");
-        let view = fleet.status(&id).expect("recovered job");
-        assert_eq!(view.state, "done");
-        assert_eq!(view.digest(), Some(digest));
-        fleet.shutdown();
-        let _cleanup = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn unspawnable_worker_fails_its_job_not_the_fleet() {
@@ -958,33 +978,23 @@ mod tests {
     }
 
     #[test]
-    fn invalid_specs_are_rejected_up_front() {
-        let dir = tmp_dir("sup_invalid");
-        let fleet = Fleet::start(FleetOpts::new(dir.clone()).with_workers(1)).expect("start");
-        let err = fleet
-            .submit(JobSpec::new(2, 16, 1, f32::NAN))
-            .expect_err("NaN lambda2 must be rejected");
-        assert!(matches!(err, SubmitError::Invalid(_)), "{err:?}");
-        fleet.shutdown();
-        let _cleanup = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn out_of_range_epochs_and_batches_are_refused_not_clamped() {
+    fn out_of_range_specs_are_refused_not_clamped() {
         let dir = tmp_dir("sup_range");
         let fleet = Fleet::start(FleetOpts::new(dir.clone()).with_workers(1)).expect("start");
         // Validation runs before the drain check, so a drained fleet
         // answers `Draining` for exactly the specs it would accept.
         fleet.drain();
+        assert!(fleet.counts().draining);
         // The caps are the fleet's; the lower bounds are `SearchConfig`'s.
-        for (epochs, batch, field) in [
-            (0, 16, "epochs"),
-            (65, 16, "epochs"),
-            (2, 1, "batch"),
-            (2, 257, "batch"),
+        for (epochs, batch, lambda2, field) in [
+            (0, 16, 0.1, "epochs"),
+            (65, 16, 0.1, "epochs"),
+            (2, 1, 0.1, "batch"),
+            (2, 257, 0.1, "batch"),
+            (2, 16, f32::NAN, "lambda2"),
         ] {
             let err = fleet
-                .submit(JobSpec::new(epochs, batch, 1, 0.1))
+                .submit(JobSpec::new(epochs, batch, 1, lambda2))
                 .expect_err("out-of-range spec must be refused");
             assert!(
                 matches!(&err, SubmitError::Invalid(msg) if msg.contains(field)),
@@ -1012,28 +1022,33 @@ mod tests {
     #[test]
     fn full_fleet_refuses_new_specs_but_answers_known_ones() {
         let dir = tmp_dir("sup_full");
-        let fleet = Fleet::start(
-            FleetOpts::new(dir.clone())
-                .with_workers(1)
-                .with_max_pending(1),
-        )
-        .expect("start");
-        let leased = JobSpec::new(8, 16, 1, 0.1);
+        // The first job stalls at once and, on a clock that never moves,
+        // holds its lease until shutdown lets it go.
+        let chaos = AttemptChaos {
+            kill_after: None,
+            stall_from: Some(0),
+        };
+        let mut opts = FleetOpts::new(dir.clone())
+            .with_workers(1)
+            .with_max_pending(1)
+            .with_chaos(chaos);
+        opts.clock = Some(ManualClock::new());
+        let fleet = Fleet::start(opts).expect("start");
+        let leased = JobSpec::new(2, 16, 1, 0.1);
         let waiting = JobSpec::new(2, 16, 2, 0.1);
         let (leased_id, _) = fleet.submit(leased).expect("first job");
-        let deadline = Instant::now() + DEADLINE;
-        while fleet.status(&leased_id).expect("status").state != "leased" {
-            assert!(Instant::now() < deadline, "first job never leased");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert!(fleet.wait_for(DEADLINE, |c| c.leased == 1), "never leased");
         let (waiting_id, _) = fleet.submit(waiting).expect("second job waits");
-        assert_eq!(
-            fleet.submit(JobSpec::new(2, 16, 3, 0.1)),
-            Err(SubmitError::Full)
-        );
-        assert_eq!(fleet.submit(leased), Ok((leased_id, true)));
-        assert_eq!(fleet.submit(waiting), Ok((waiting_id, true)));
+        let refused = fleet.submit(JobSpec::new(2, 16, 3, 0.1));
+        assert_eq!(refused, Err(SubmitError::Full));
+        assert_eq!(fleet.submit(leased), Ok((leased_id.clone(), true)));
+        assert_eq!(fleet.submit(waiting), Ok((waiting_id.clone(), true)));
+        // Shutdown lets the holding attempt run on to its result and leaves
+        // the waiting job in the ledger.
         fleet.shutdown();
+        let state = |id: &str| fleet.status(id).expect("status").state;
+        assert_eq!(state(&leased_id), "done");
+        assert_eq!(state(&waiting_id), "pending");
         let _cleanup = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,8 +16,10 @@
 //! by the same [`JobSpec`] codec, plus `--ckpt`, `--resume` and the chaos
 //! flags ([`WorkerArgs`]). It speaks v1 NDJSON on stdout — `hb` / `done` /
 //! `failed` events — and exits nonzero on failure. Chaos knobs
-//! ([`AttemptChaos`]) script the drills: die after an epoch, stop
-//! heartbeating, or run slow while staying alive.
+//! ([`AttemptChaos`]) script the drills: die after an epoch, or stall — stop
+//! heartbeating and hold until the lease is gone. A stalled child blocks on
+//! its stdin, which the supervisor holds open, so it ends at the sweep's
+//! `SIGKILL` or when its supervisor exits, and never outlives it.
 
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,15 +36,15 @@ use crate::ledger::{JobResult, JobSpec};
 
 /// Scripted misbehavior for one attempt: the fleet's one per-attempt fault
 /// script. A thread attempt applies it in its heartbeat hook, and a child
-/// gets it as `--kill-after`, `--stall-from` and `--slow-ms`.
+/// gets it as `--kill-after` and `--stall-from`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AttemptChaos {
     /// Die (no unwind, exit code 9) right after this epoch's heartbeat.
     pub kill_after: Option<usize>,
-    /// Stop heartbeating from this epoch on, while continuing to compute.
+    /// Stop heartbeating from this epoch on and hold until the lease is
+    /// gone or the fleet shuts down. A thread attempt then runs on to a
+    /// result that fencing discards; a child ends.
     pub stall_from: Option<usize>,
-    /// Extra sleep per epoch, heartbeats still flowing.
-    pub slow_ms: Option<u64>,
 }
 
 /// Runs one attempt of `spec`, checkpointing every epoch under
@@ -100,7 +102,7 @@ pub fn run_job(
 }
 
 /// Parsed `dance_fleet --worker` command line: `--spec`, `--ckpt`,
-/// `--resume`, `--kill-after`, `--stall-from` and `--slow-ms`.
+/// `--resume`, `--kill-after` and `--stall-from`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerArgs {
     /// The job to run.
@@ -143,7 +145,6 @@ impl WorkerArgs {
                 "--stall-from" => {
                     chaos.stall_from = Some(parse_num(value("--stall-from")?, "--stall-from")?);
                 }
-                "--slow-ms" => chaos.slow_ms = Some(parse_num(value("--slow-ms")?, "--slow-ms")?),
                 other => return Err(format!("unknown worker flag {other:?}")),
             }
         }
@@ -179,10 +180,6 @@ impl WorkerArgs {
             argv.push("--stall-from".to_string());
             argv.push(e.to_string());
         }
-        if let Some(ms) = self.chaos.slow_ms {
-            argv.push("--slow-ms".to_string());
-            argv.push(ms.to_string());
-        }
         argv
     }
 }
@@ -191,7 +188,8 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad value {s:?} for {flag}"))
 }
 
-/// Exit code a chaos-killed worker dies with.
+/// Exit code a chaos-killed worker dies with, and a stalled one once its
+/// stdin closes.
 pub const KILLED_EXIT: i32 = 9;
 
 /// The `dance_fleet --worker` process body: runs one attempt, heartbeating
@@ -207,21 +205,19 @@ pub fn worker_main(argv: &[String]) -> i32 {
     };
     let id = args.spec.job_id();
     let chaos = args.chaos;
-    let mut stalled = false;
     let hb_id = id.clone();
     let result = catch_unwind(AssertUnwindSafe(|| {
         run_job(&args.spec, &args.ckpt, args.resume, &mut |epoch| {
-            if let Some(ms) = chaos.slow_ms {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
             if chaos.stall_from.is_some_and(|s| epoch >= s) {
-                stalled = true;
+                // Stalled: no more heartbeats. Block on stdin, open while
+                // the supervisor holds it: this ends at the sweep's SIGKILL,
+                // or at EOF once the supervisor closes it or exits.
+                let _eof = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
+                std::process::exit(KILLED_EXIT);
             }
-            if !stalled {
-                emit_line(&format!(
-                    "{{\"v\":1,\"event\":\"hb\",\"job\":\"{hb_id}\",\"epoch\":{epoch}}}"
-                ));
-            }
+            emit_line(&format!(
+                "{{\"v\":1,\"event\":\"hb\",\"job\":\"{hb_id}\",\"epoch\":{epoch}}}"
+            ));
             // The scripted death happens *after* the heartbeat: the epoch
             // is durable and claimed, then the process vanishes — exactly
             // the window a SIGKILL drill has to get right.
@@ -274,12 +270,7 @@ pub fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dance_fleet_{name}_{}", std::process::id()));
-        let _unused = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::tmp_dir;
 
     #[test]
     fn worker_args_round_trip_through_argv() {
@@ -289,8 +280,7 @@ mod tests {
             resume: true,
             chaos: AttemptChaos {
                 kill_after: Some(2),
-                stall_from: None,
-                slow_ms: Some(5),
+                stall_from: Some(1),
             },
         };
         let back = WorkerArgs::parse(&args.to_argv()).expect("argv parses");
@@ -335,7 +325,9 @@ mod tests {
         assert!(bad(&["--epochs", "2"]).contains("unknown worker flag"));
         assert!(bad(&["--ckpt", "/tmp/c"]).contains("--spec is required"));
         assert!(bad(&["--spec", spec]).contains("--ckpt is required"));
-        assert!(bad(&["--spec", spec, "--ckpt", "/tmp/c", "--slow-ms", "x"]).contains("bad value"));
+        assert!(
+            bad(&["--spec", spec, "--ckpt", "/tmp/c", "--stall-from", "x"]).contains("bad value")
+        );
     }
 
     #[test]

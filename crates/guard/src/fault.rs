@@ -10,8 +10,8 @@
 //! [`GuardConfig::fault_plan`](crate::GuardConfig::fault_plan) carries into
 //! a search. It is `None` unless a test sets it, so a run without a plan
 //! pays one `Option` check per hook. Per-attempt process faults (kill a
-//! worker, stall its heartbeat, slow it down) are scripted by
-//! `dance-fleet`'s `AttemptChaos`, not here.
+//! worker, or stall its heartbeat) are scripted by `dance-fleet`'s
+//! `AttemptChaos`, not here.
 
 use std::fs;
 use std::io;

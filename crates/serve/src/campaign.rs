@@ -299,6 +299,12 @@ mod tests {
         spec.lambda2.clear();
         let err = table.submit(spec).expect_err("must reject");
         assert_eq!(err.code, 400);
+        // A batch of 1 would fail every cell's search; it fails the submit.
+        let mut spec = tiny_spec();
+        spec.batch_size = 1;
+        let err = table.submit(spec).expect_err("batch 1 must be rejected");
+        assert_eq!(err.code, 400);
+        assert!(err.msg.contains("batch_size"), "{}", err.msg);
         assert_eq!(table.counts(), CampaignCounts::default());
     }
 }

@@ -26,7 +26,7 @@ use dance_cost::model::{CostModel, Detail};
 use dance_evaluator::cost_net::CostNet;
 use dance_evaluator::evaluator::Evaluator;
 use dance_evaluator::hwgen_net::{HeadSampling, HwGenNet};
-use dance_telemetry::json::push_num;
+use dance_telemetry::json::{self, push_num, Json};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -359,7 +359,12 @@ fn handle_line(shared: &Shared, line: &str) -> Reply {
         Ok(req) => req,
         Err(e) => {
             dance_telemetry::counter!("serve.req.bad");
-            return Reply::Line(render_err("", &e));
+            // Echo the id whenever the refused line carried a string one.
+            let id = json::parse(line)
+                .ok()
+                .and_then(|v| v.get("id").and_then(Json::as_str).map(str::to_string))
+                .unwrap_or_default();
+            return Reply::Line(render_err(&id, &e));
         }
     };
     // Streaming ops bypass the cache entirely: a stream is a live

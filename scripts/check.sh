@@ -87,10 +87,14 @@ echo "== plan suite =="
 cargo test -q --release -p dance-plan
 cargo test -q --release --test torn_plan
 
+# The recovery and child-process drills run four at a time, twice a
+# 2-vCPU host's cores: the load under which a drill on wall-clock leases
+# once flaked. Their stall and slow-peer drills run on a manual clock, so
+# the load may slow them but must not change a count.
 echo "== fleet suite =="
 cargo test -q --release -p dance-fleet
-cargo test -q --release --test fleet_recovery
-cargo test -q --release --test fleet_process
+cargo test -q --release --test fleet_recovery -- --test-threads 4
+cargo test -q --release --test fleet_process -- --test-threads 4
 cargo test -q --release --test torn_checkpoint
 
 # Process-level chaos drill: run the same job set straight and with one

@@ -3,8 +3,8 @@
 //! that one generation, and every finished job keeps the uninterrupted
 //! run's `arch-digest` bit-for-bit.
 //!
-//! Kill, stall and slow-peer drills live in `tests/fleet_recovery.rs`. This
-//! drill is a binary of its own so it adds no load to their timed leases.
+//! Kill, stall and slow-peer drills live in `tests/fleet_recovery.rs` and
+//! `tests/fleet_process.rs`; this drill needs no chaos and no clock.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -42,6 +42,7 @@ fn torn_ledger_writes_cost_at_most_one_generation() {
         .map(|s| fleet.submit(*s).expect("submit").0)
         .collect();
     assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
+    assert_eq!(fleet.counts().reclaims, 0, "a clean run reclaims nothing");
     fleet.shutdown();
 
     // Tear the newest generation (the one shutdown wrote) to half its

@@ -1,6 +1,7 @@
 //! Fleet drills over the child-process transport: every attempt runs as a
 //! real `dance_fleet --worker` child, so a scripted kill is a real process
-//! exit seen as pipe EOF and a wedged child is SIGKILLed by the lease sweep.
+//! exit seen as pipe EOF and a stalled child, blocked on its stdin, is
+//! SIGKILLed by the lease sweep at the manual-clock time the drill sets.
 //! Jobs must still land on the straight run's `arch-digest` bit-for-bit,
 //! and no heartbeat may write a ledger generation.
 
@@ -36,19 +37,11 @@ fn child_opts(dir: &Path, workers: usize, chaos: AttemptChaos) -> FleetOpts {
 
 /// Ledger generations written so far: one past the newest generation number.
 fn generations(ledger_dir: &Path) -> u64 {
-    std::fs::read_dir(ledger_dir)
-        .expect("ledger dir lists")
-        .filter_map(Result::ok)
-        .filter_map(|e| {
-            e.file_name()
-                .to_str()?
-                .strip_prefix("ledger-")?
-                .strip_suffix(".json")?
-                .parse::<u64>()
-                .ok()
-        })
-        .max()
-        .map_or(0, |g| g + 1)
+    let (store, ..) = LedgerStore::open(ledger_dir).expect("ledger opens");
+    let newest = store.newest_path().expect("the fleet wrote generations");
+    let name = newest.to_string_lossy();
+    let generation = name.trim_end_matches(".json").rsplit('-').next();
+    generation.map_or(0, |g| g.parse::<u64>().expect("a number") + 1)
 }
 
 #[test]
@@ -66,7 +59,6 @@ fn killed_children_are_reclaimed_at_eof_without_heartbeat_writes() {
     let chaos = AttemptChaos {
         kill_after: Some(1),
         stall_from: None,
-        slow_ms: None,
     };
     let fleet = Fleet::start(child_opts(&dir, 2, chaos)).expect("fleet starts");
     let ids: Vec<String> = specs
@@ -104,43 +96,57 @@ fn stalled_child_is_killed_at_lease_expiry_and_never_fenced() {
     let spec = JobSpec::new(4, 16, 151, 0.1);
     let want = straight_digest(&spec, "stall_ref");
 
-    // The child heartbeats epoch 0, then stops heartbeating but keeps
-    // computing, and its three remaining epochs, slowed 600 ms each,
-    // outlast the 1,500 ms lease. The TTL leaves the child's start-up and
-    // epoch 0 (plus one slow sleep) room to land that first heartbeat, the
-    // values `fleet_recovery`'s stall drill uses. The sweep must SIGKILL
-    // the child when the lease expires: a child left alive would finish and
-    // report a stale result that fencing discards.
+    // The child heartbeats epoch 0, then stalls: it sends nothing more and
+    // blocks on its stdin. The manual clock passes the TTL only after that
+    // heartbeat renewed the lease, so the sweep must SIGKILL a child whose
+    // lease was live, and the next attempt resumes from its checkpoint.
+    let ttl = 1_000;
+    let clock = ManualClock::new();
     let chaos = AttemptChaos {
         kill_after: None,
         stall_from: Some(1),
-        slow_ms: Some(600),
     };
-    let fleet =
-        Fleet::start(child_opts(&dir, 1, chaos).with_lease_ttl_ms(1_500)).expect("fleet starts");
+    let mut opts = child_opts(&dir, 1, chaos).with_lease_ttl_ms(ttl);
+    opts.clock = Some(clock.clone());
+    let fleet = Fleet::start(opts).expect("fleet starts");
     let (id, _) = fleet.submit(spec).expect("submit");
+    let renewed = |c: &FleetCounts| c.workers["fleet-w0"].last_beat_ms.is_some();
+    assert!(fleet.wait_for(DEADLINE, renewed), "no renewal");
+    clock.advance(ttl);
     assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
     let view = fleet.status(&id).expect("status");
-    let counts = fleet.counts();
     fleet.shutdown();
+    let counts = fleet.counts();
     assert_eq!(view.state, "done", "job: {:?}", view.error);
     assert_eq!(view.digest(), Some(want), "recovered digest diverged");
-    assert!(
-        counts.reclaims >= 1,
-        "stalled lease was reclaimed: {counts:?}"
-    );
+    assert_eq!(view.attempt, 2, "one re-dispatch");
+    assert_eq!(counts.reclaims, 1, "the stalled lease: {counts:?}");
     assert_eq!(counts.fenced, 0, "the stalled child outlived its lease");
-    // Attempt 1 checkpoints epoch 1 only after its epoch-0 heartbeat, so a
-    // resume from epoch 1 or later shows the stall came after a live
-    // heartbeat. A lease that expired before that heartbeat renewed it
-    // would have killed the child before epoch 1 ended.
     let resumed = view
         .result
         .as_ref()
         .and_then(|r| r.guard.resumed_from_epoch);
-    assert!(
-        resumed.is_some_and(|e| e >= 1),
-        "the next attempt resumed from epoch {resumed:?}, not from 1 or later"
-    );
+    assert!(resumed.is_some(), "the next attempt did not resume");
+    let _cleanup = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_ends_a_stalled_child_and_keeps_its_job() {
+    let dir = tmp_dir("hold");
+    // The child stalls at its first epoch and blocks on its stdin, with
+    // its lease held on a clock that never moves: only shutdown, which
+    // closes that stdin, ends it. Its job goes back to pending.
+    let chaos = AttemptChaos {
+        kill_after: None,
+        stall_from: Some(0),
+    };
+    let mut opts = child_opts(&dir, 1, chaos);
+    opts.clock = Some(ManualClock::new());
+    let fleet = Fleet::start(opts).expect("fleet starts");
+    let (id, _) = fleet.submit(JobSpec::new(2, 16, 161, 0.1)).expect("submit");
+    assert!(fleet.wait_for(DEADLINE, |c| c.leased == 1), "never leased");
+    fleet.shutdown();
+    assert_eq!(fleet.status(&id).expect("status").state, "pending");
+    assert_eq!(fleet.counts().reclaims, 1, "the child's pipe closed");
     let _cleanup = std::fs::remove_dir_all(&dir);
 }

@@ -4,12 +4,14 @@
 //! reclaimed) exactly as the lease state machine promises.
 //!
 //! Here each attempt runs on its worker thread and chaos is scripted per
-//! attempt. `tests/fleet_process.rs` drives the same supervisor over the
+//! attempt. The stall and slow-peer drills run on a manual clock that they
+//! move at the event they mean, so their counts are exact on any host.
+//! `tests/fleet_process.rs` drives the same supervisor over the
 //! child-process transport, where a kill is a real process exit and the
 //! sweep SIGKILLs a wedged child; `scripts/check.sh` adds the SIGKILL drill
 //! through the `dance_fleet` binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use dance_fleet::prelude::*;
@@ -21,6 +23,31 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 const DEADLINE: Duration = Duration::from_secs(120);
+/// Lease TTL of the manual-clock drills, in manual milliseconds.
+const TTL: u64 = 1_000;
+
+/// Options for a two-worker fleet that kills each job's first attempt
+/// after epoch 1, on 300 ms leases so the reclaims come fast.
+fn kill_opts(dir: &Path) -> FleetOpts {
+    let chaos = AttemptChaos {
+        kill_after: Some(1),
+        stall_from: None,
+    };
+    FleetOpts::new(dir.to_path_buf())
+        .with_workers(2)
+        .with_lease_ttl_ms(300)
+        .with_chaos(chaos)
+}
+
+/// Options for a fleet on `clock`, which only the drill moves.
+fn manual_opts(dir: &Path, workers: usize, chaos: AttemptChaos, clock: &ManualClock) -> FleetOpts {
+    let mut opts = FleetOpts::new(dir.to_path_buf())
+        .with_workers(workers)
+        .with_lease_ttl_ms(TTL)
+        .with_chaos(chaos);
+    opts.clock = Some(clock.clone());
+    opts
+}
 
 /// The uninterrupted digest for a spec, computed outside any fleet.
 fn straight_digest(spec: &JobSpec, name: &str) -> u64 {
@@ -44,18 +71,7 @@ fn killing_every_first_attempt_still_lands_every_digest() {
         .map(|(i, s)| straight_digest(s, &format!("kill_all_ref{i}")))
         .collect();
 
-    let chaos = AttemptChaos {
-        kill_after: Some(1),
-        stall_from: None,
-        slow_ms: None,
-    };
-    let fleet = Fleet::start(
-        FleetOpts::new(dir.clone())
-            .with_workers(2)
-            .with_lease_ttl_ms(300)
-            .with_chaos(chaos),
-    )
-    .expect("fleet starts");
+    let fleet = Fleet::start(kill_opts(&dir)).expect("fleet starts");
     let ids: Vec<String> = specs
         .iter()
         .map(|s| fleet.submit(*s).expect("submit").0)
@@ -87,75 +103,67 @@ fn stalled_heartbeat_is_fenced_and_the_job_still_lands() {
     let spec = JobSpec::new(4, 16, 81, 0.1);
     let want = straight_digest(&spec, "stall_ref");
 
-    // Stop heartbeating after epoch 1 while slowing each epoch enough that
-    // the remaining work outlives the lease — the supervisor must reclaim,
-    // re-dispatch, and fence off whatever the zombie attempt reports. The
-    // zombie is only fenced if its epoch-0 renewal (epoch 0 plus one slow
-    // sleep) lands inside the TTL, so the TTL leaves epoch 0 a 900 ms
-    // budget, while the three stalled slow epochs still outlast it.
+    // The first attempt heartbeats epoch 0, then stalls and holds its
+    // lease. The clock passes the TTL only after that heartbeat renewed
+    // it: the sweep reclaims, a clean attempt lands the job, and the
+    // zombie, let go by the reclaim, runs on to a result that fencing
+    // discards.
+    let clock = ManualClock::new();
     let chaos = AttemptChaos {
         kill_after: None,
         stall_from: Some(1),
-        slow_ms: Some(600),
     };
-    let fleet = Fleet::start(
-        FleetOpts::new(dir.clone())
-            .with_workers(2)
-            .with_lease_ttl_ms(1_500)
-            .with_chaos(chaos),
-    )
-    .expect("fleet starts");
+    let fleet = Fleet::start(manual_opts(&dir, 2, chaos, &clock)).expect("fleet starts");
     let (id, _) = fleet.submit(spec).expect("submit");
+    let renewed = |c: &FleetCounts| c.workers.values().any(|w| w.last_beat_ms.is_some());
+    assert!(fleet.wait_for(DEADLINE, renewed), "no renewal");
+    clock.advance(TTL);
     assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
-
     let view = fleet.status(&id).expect("status");
+    // Shutdown joins the zombie, so its fenced result is counted by now.
+    fleet.shutdown();
+    let counts = fleet.counts();
     assert_eq!(view.state, "done", "job: {:?}", view.error);
     assert_eq!(view.digest(), Some(want), "recovered digest diverged");
-    assert!(fleet.counts().reclaims >= 1, "stalled lease was reclaimed");
-    // The fleet settles on the clean re-dispatch while the zombie attempt
-    // is still grinding through its slowed epochs; its doomed result is
-    // fenced only when it finally finishes, so poll for the count.
-    let fenced_deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while fleet.counts().fenced == 0 {
-        assert!(
-            std::time::Instant::now() < fenced_deadline,
-            "zombie attempt was never fenced off: {:?}",
-            fleet.counts()
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    fleet.shutdown();
+    assert_eq!(view.attempt, 2, "one re-dispatch");
+    assert_eq!(counts.reclaims, 1, "the stalled lease: {counts:?}");
+    assert_eq!(counts.fenced, 1, "the zombie's result: {counts:?}");
     let _cleanup = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn slow_peer_with_live_heartbeats_keeps_its_lease() {
     let dir = tmp_dir("slow");
-    let spec = JobSpec::new(3, 16, 91, 0.1);
+    let spec = JobSpec::new(6, 16, 91, 0.1);
     let want = straight_digest(&spec, "slow_ref");
 
-    // Slow but honest: heartbeats keep flowing, so the lease must NOT be
-    // reclaimed no matter how long the epochs take relative to the TTL's
-    // margin over a healthy epoch.
-    let chaos = AttemptChaos {
-        kill_after: None,
-        stall_from: None,
-        slow_ms: Some(100),
-    };
-    let fleet = Fleet::start(
-        FleetOpts::new(dir.clone())
-            .with_workers(1)
-            .with_lease_ttl_ms(1_500)
-            .with_chaos(chaos),
-    )
-    .expect("fleet starts");
+    // Slow but honest: after each renewal the clock moves to 1 ms short of
+    // the lease deadline, so every epoch takes TTL - 1 of fleet time, and
+    // the heartbeats must hold the lease however far the clock goes.
+    let clock = ManualClock::new();
+    let fleet =
+        Fleet::start(manual_opts(&dir, 1, AttemptChaos::default(), &clock)).expect("fleet starts");
     let (id, _) = fleet.submit(spec).expect("submit");
-    assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
+    let settled = |c: &FleetCounts| c.pending + c.leased == 0;
+    let mut moved = 0;
+    loop {
+        let now = clock.now_ms();
+        let woke = fleet.wait_for(DEADLINE, |c| {
+            settled(c) || c.workers["fleet-w0"].last_beat_ms == Some(now)
+        });
+        assert!(woke, "no renewal at {now} ms: {:?}", fleet.counts());
+        if settled(&fleet.counts()) {
+            break;
+        }
+        clock.advance(TTL - 1);
+        moved += TTL - 1;
+    }
 
     let view = fleet.status(&id).expect("status");
     assert_eq!(view.state, "done", "job: {:?}", view.error);
     assert_eq!(view.digest(), Some(want));
     assert_eq!(view.attempt, 1, "slow peer kept its first attempt");
+    assert!(moved >= 2 * TTL, "the clock moved only {moved} ms");
     let counts = fleet.counts();
     assert_eq!(counts.reclaims, 0, "live heartbeats held the lease");
     assert_eq!(counts.fenced, 0);
@@ -167,19 +175,8 @@ fn slow_peer_with_live_heartbeats_keeps_its_lease() {
 fn restart_after_chaos_recovers_the_finished_fleet_from_the_ledger() {
     let dir = tmp_dir("restart");
     let spec = JobSpec::new(4, 16, 101, 0.1);
-    let chaos = AttemptChaos {
-        kill_after: Some(1),
-        stall_from: None,
-        slow_ms: None,
-    };
     let (id, digest) = {
-        let fleet = Fleet::start(
-            FleetOpts::new(dir.clone())
-                .with_workers(2)
-                .with_lease_ttl_ms(300)
-                .with_chaos(chaos),
-        )
-        .expect("fleet starts");
+        let fleet = Fleet::start(kill_opts(&dir)).expect("fleet starts");
         let (id, _) = fleet.submit(spec).expect("submit");
         assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
         let digest = fleet

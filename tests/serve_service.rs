@@ -16,15 +16,22 @@ fn start_server(mut cfg: ServeConfig) -> (String, std::thread::JoinHandle<()>) {
     // Parallel tests must not share the default fleet root: two supervisors
     // over one directory race on the ledger's generation files.
     static FLEET_DIRS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    if cfg.fleet_root == ServeConfig::default().fleet_root {
+    let generated = (cfg.fleet_root == ServeConfig::default().fleet_root).then(|| {
         let n = FLEET_DIRS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        cfg.fleet_root =
-            std::env::temp_dir().join(format!("dance_serve_fleet_t{n}_{}", std::process::id()));
+        std::env::temp_dir().join(format!("dance_serve_fleet_t{n}_{}", std::process::id()))
+    });
+    if let Some(root) = &generated {
+        cfg.fleet_root = root.clone();
     }
     let server = Server::bind(&cfg).expect("ephemeral bind succeeds");
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || {
         server.run().expect("server run loop exits cleanly");
+        // `run` returns once the server has drained and joined its fleet,
+        // so nothing writes under a generated root any more.
+        if let Some(root) = generated {
+            let _cleanup = std::fs::remove_dir_all(root);
+        }
     });
     (addr, handle)
 }
@@ -625,6 +632,30 @@ fn search_jobs_run_on_the_fleet_with_the_parent_answers() {
         "{plain_result:?}"
     );
 
+    shutdown(&addr);
+    handle.join().expect("server thread joins after drain");
+}
+
+#[test]
+fn a_refused_request_echoes_its_id() {
+    let (addr, handle) = start_server(ServeConfig::default());
+    let mut client = connect(&addr);
+    // The seed goes on the wire as the JSON number 2^60, past the 2^53
+    // that the protocol accepts.
+    let line = client
+        .call_raw(&Request {
+            id: "big".into(),
+            deadline_ms: None,
+            body: ReqBody::FleetSubmit {
+                spec: JobSpec::new(2, 16, 1 << 60, 0.1),
+            },
+        })
+        .expect("submit call returns");
+    assert!(line.contains("\"id\":\"big\""), "{line}");
+    assert!(line.contains("\"code\":400"), "{line}");
+    let err = dance_telemetry::json::parse(&line).expect("the answer is JSON");
+    let msg = err.get("err").and_then(Json::as_str).unwrap_or_default();
+    assert!(msg.contains("`seed`"), "{line}");
     shutdown(&addr);
     handle.join().expect("server thread joins after drain");
 }
