@@ -208,13 +208,12 @@ mod tests {
     fn waiters_wake_on_push_across_threads() {
         let log = std::sync::Arc::new(EventLog::new());
         let log2 = log.clone();
-        let waiter = dance_backend::spawn_service("event-log-test-waiter", move || {
+        let waiter = std::thread::spawn(move || {
             assert_eq!(
                 log2.wait_next(0, Duration::from_secs(10)),
                 Waited::Line("x".into())
             );
-        })
-        .expect("spawn waiter");
+        });
         std::thread::sleep(Duration::from_millis(20));
         log.push("x".into());
         waiter.join().expect("waiter saw the line");

@@ -1,19 +1,20 @@
 //! The campaign grid: λ₂ × dataset × hardware-envelope cells.
 //!
 //! A campaign is a cross product of search knobs. Each **cell** is one
-//! seeded guarded search; its seed is a pure function of the campaign seed
-//! and the cell's coordinates (never of its position in a work queue), so
-//! two cells with identical coordinates run identical trajectories and
-//! every re-run of a cell — fresh, resumed, or on a different worker —
+//! seeded guarded search, run as a `dance-fleet` job
+//! ([`CampaignSpec::cell_job`]); its seed is a pure function of the
+//! campaign seed and the cell's coordinates (never of its position in a
+//! work queue), so two cells with identical coordinates are the same job
+//! and every re-run of a cell — fresh, resumed, or on a different worker —
 //! reproduces the same per-epoch design points bit for bit.
 
 use std::path::PathBuf;
 
 use dance::pareto::fnv_fold;
-use dance::prelude::{LambdaWarmup, SearchConfig};
 use dance_accel::config::AcceleratorConfig;
 use dance_accel::space::HardwareSpace;
 use dance_accel::workload::SlotChoice;
+use dance_fleet::ledger::JobSpec;
 
 /// A named restriction of the accelerator design space `H`.
 ///
@@ -87,7 +88,7 @@ impl Envelope {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Position in [`CampaignSpec::cells`] order (row-major λ₂ × dataset ×
-    /// envelope); names the checkpoint directory and manifest slot.
+    /// envelope); names the cell (`cell-NNNN`) in frontier origins.
     pub id: usize,
     /// Hardware-cost weight for this cell's search.
     pub lambda2: f32,
@@ -96,13 +97,13 @@ pub struct Cell {
     /// Index into [`CampaignSpec::envelopes`].
     pub envelope: usize,
     /// Derived search seed — a function of coordinates, not of `id`, so
-    /// duplicate coordinates produce byte-identical trajectories (and
-    /// therefore pure frontier dedup hits).
+    /// duplicate coordinates are one fleet job (and their points pure
+    /// frontier dedup hits).
     pub seed: u64,
 }
 
 /// The full specification of a campaign: grid axes, per-search knobs, and
-/// where on disk the manifest and per-cell checkpoints live.
+/// where on disk its fleet keeps the ledger and per-job checkpoints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Campaign name (used in telemetry and event streams).
@@ -119,9 +120,11 @@ pub struct CampaignSpec {
     pub batch_size: usize,
     /// Campaign master seed, mixed into every cell seed.
     pub seed: u64,
-    /// Campaign root directory (`manifest.json` + `cells/cell-NNNN/`).
+    /// Campaign root directory: the fleet's `ledger/` and
+    /// `ckpt/<job-id>/`.
     pub root: PathBuf,
-    /// Concurrent cell searches (`0` → the shared backend pool width).
+    /// Fleet workers, each running one cell at a time (`0` → the shared
+    /// backend pool width).
     pub max_concurrency: usize,
 }
 
@@ -142,14 +145,15 @@ impl CampaignSpec {
         }
     }
 
-    /// Validates the grid: no axis is empty, and every cell's
-    /// [`CampaignSpec::cell_config`] builds.
+    /// Validates the grid: no axis is empty, and the fleet accepts every
+    /// cell's job.
     ///
     /// # Errors
     ///
     /// Returns a description of the first empty axis, or what
-    /// `SearchConfig` refuses in the first cell it refuses: zero epochs, a
-    /// batch below 2, a negative or non-finite λ₂.
+    /// [`JobSpec::search_config`] refuses in the first cell it refuses:
+    /// zero epochs or more than 64, a batch below 2 or above 256, a
+    /// negative or non-finite λ₂.
     pub fn validate(&self) -> Result<(), String> {
         if self.lambda2.is_empty() {
             return Err("campaign needs at least one lambda2 value".into());
@@ -162,24 +166,24 @@ impl CampaignSpec {
         }
         self.cells()
             .iter()
-            .try_for_each(|cell| self.cell_config(cell).map(drop))
+            .try_for_each(|cell| self.cell_job(cell).search_config().map(drop))
     }
 
-    /// The search `cell` runs: the campaign's epochs and batch size, the
-    /// cell's λ₂ ramped in over the first half of the epochs, and the
-    /// cell's seed. Validation and the runner both build it here.
-    ///
-    /// # Errors
-    ///
-    /// Passes on what `SearchConfig`'s own validation refuses.
-    pub fn cell_config(&self, cell: &Cell) -> Result<SearchConfig, String> {
-        SearchConfig::builder()
-            .epochs(self.epochs)
-            .batch_size(self.batch_size)
-            .lambda2(LambdaWarmup::ramp(cell.lambda2, (self.epochs / 2).max(1)))
-            .seed(cell.seed)
-            .build()
-            .map_err(|e| e.to_string())
+    /// The fleet job `cell` runs: the campaign's epochs and batch size,
+    /// the cell's λ₂ ramped in over the first half of the epochs, its seed,
+    /// and its dataset seed. Validation, the runner and `--emit-plan` all
+    /// build it here.
+    pub fn cell_job(&self, cell: &Cell) -> JobSpec {
+        JobSpec {
+            data_seed: cell.dataset_seed,
+            warmup: (self.epochs as u64 / 2).max(1),
+            ..JobSpec::new(
+                self.epochs as u64,
+                self.batch_size as u64,
+                cell.seed,
+                cell.lambda2,
+            )
+        }
     }
 
     /// The grid as cells, row-major over (λ₂, dataset seed, envelope).
@@ -211,16 +215,6 @@ impl CampaignSpec {
     /// Whether the grid is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The checkpoint directory of cell `id`.
-    pub fn cell_dir(&self, id: usize) -> PathBuf {
-        self.root.join("cells").join(format!("cell-{id:04}"))
-    }
-
-    /// The manifest path.
-    pub fn manifest_path(&self) -> PathBuf {
-        self.root.join("manifest.json")
     }
 }
 
@@ -317,5 +311,29 @@ mod tests {
         spec.batch_size = 1;
         let err = spec.validate().expect_err("batch 1 is refused");
         assert!(err.contains("batch_size"), "{err}");
+        // Cells are fleet jobs, so the fleet's caps hold.
+        spec.batch_size = 257;
+        let err = spec.validate().expect_err("batch 257 is refused");
+        assert!(err.contains("batch"), "{err}");
+        let spec = CampaignSpec::smoke(std::env::temp_dir().join("dance_grid_val"), 65);
+        let err = spec.validate().expect_err("65 epochs are refused");
+        assert!(err.contains("epochs"), "{err}");
+    }
+
+    #[test]
+    fn a_cell_job_carries_its_coordinates() {
+        let mut spec = CampaignSpec::smoke(std::env::temp_dir().join("dance_grid_job"), 5);
+        spec.lambda2 = vec![0.1, 0.1];
+        let cells = spec.cells();
+        let job = spec.cell_job(&cells[2]);
+        assert_eq!(job.seed, cells[2].seed);
+        assert_eq!(job.data_seed, 1);
+        assert_eq!(job.warmup, 2, "lambda2 ramps over half the epochs");
+        assert_eq!(job.lambda2_bits, 0.1_f32.to_bits());
+        // Duplicate coordinates are the same fleet job.
+        assert_eq!(spec.cell_job(&cells[0]), spec.cell_job(&cells[4]));
+        assert_ne!(spec.cell_job(&cells[0]), spec.cell_job(&cells[1]));
+        let one = CampaignSpec::smoke(std::env::temp_dir().join("dance_grid_job"), 1);
+        assert_eq!(one.cell_job(&one.cells()[0]).warmup, 1);
     }
 }

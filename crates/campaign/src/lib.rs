@@ -12,13 +12,14 @@
 //! observable unit:
 //!
 //! - [`grid`]: the cross product of axes; per-cell seeds are pure functions
-//!   of coordinates so every re-run is bit-identical.
-//! - [`runner`]: the orchestrator. Workers on the shared `dance-backend`
-//!   pool run one guarded search per cell; per-epoch design points flow
-//!   back to a single folding thread (see [`dance::pareto::Frontier`]).
-//! - [`manifest`]: the atomic, versioned on-disk record (grid, per-cell
-//!   status, archive) that makes `--resume` reproduce an uninterrupted
-//!   run's frontier digest bit for bit.
+//!   of coordinates so every re-run is bit-identical, and each cell is one
+//!   `dance-fleet` job.
+//! - [`runner`]: the orchestrator. A `dance-fleet` fleet under the
+//!   campaign root runs the cells; each finished cell's per-epoch design
+//!   points are priced and folded on the caller's thread (see
+//!   [`dance::pareto::Frontier`]). The fleet's ledger is the campaign's
+//!   only durable record, which makes `--resume` reproduce an
+//!   uninterrupted run's frontier digest bit for bit.
 //! - [`events`]: the append-only replayable event log behind the
 //!   `campaign/stream` endpoint in `dance-serve` and the CLI `--stream`
 //!   printer.
@@ -36,14 +37,12 @@
 
 pub mod events;
 pub mod grid;
-pub mod manifest;
 pub mod runner;
 
 /// The campaign API surface.
 pub mod prelude {
     pub use crate::events::{render_campaign_end, render_frontier_update, EventLog, Waited};
     pub use crate::grid::{cell_seed, dedup_key, CampaignSpec, Cell, Envelope};
-    pub use crate::manifest::{ArchiveRecord, CellRecord, CellStatus, Manifest, MANIFEST_VERSION};
     pub use crate::runner::{run_campaign, CampaignOutcome, CancelToken};
 }
 

@@ -273,8 +273,9 @@ impl Frontier {
         self.entries.len()
     }
 
-    /// Every archived entry (front and dominated), in key order — what a
-    /// campaign manifest persists so a resume can refold the exact state.
+    /// Every archived entry (front and dominated), in key order: the
+    /// frontier's whole state, which any refold of the same samples
+    /// reproduces.
     pub fn archive(&self) -> impl Iterator<Item = &FrontierEntry> {
         self.entries.values()
     }

@@ -509,13 +509,14 @@ pub fn dance_search_guarded(
 }
 
 /// [`dance_search_guarded`] with a per-epoch observer — the hook behind
-/// `dance-campaign`'s in-flight frontier updates.
+/// `dance-fleet`'s per-epoch trajectory, which campaigns fold into their
+/// frontiers.
 ///
 /// `on_epoch` fires once per *healthy* epoch end (never for an epoch that
 /// tripped the watchdog and rolled back), strictly **after** that epoch's
 /// checkpoint has been durably written when checkpointing is on. So any
 /// design point an observer records is backed by an on-disk checkpoint at
-/// least as recent, which is what lets a killed campaign prune checkpoints
+/// least as recent, which is what lets a killed fleet job prune checkpoints
 /// past its last recorded point and resume bit-for-bit. Observers run on
 /// the search thread and may borrow `supernet`/`arch` (shared borrows) to
 /// derive the current architecture; the search does not hold any exclusive

@@ -2,14 +2,15 @@
 //! generation, recording every job's spec, lifecycle state and attempt
 //! count.
 //!
-//! The ledger is the fleet's durability story, playing the role the
-//! campaign manifest plays for a grid run. Every save writes a **new
-//! generation file** (`ledger-NNNNNN.json`) with `dance-guard`'s
-//! `atomic_write_text` (temp + rename), then prunes all but the last few
-//! generations. Recovery walks generations newest-first and skips any that
-//! fail to parse — the same walk-back-over-torn-files discipline
-//! `CheckpointStore::latest_good` uses — so a crash at any instant costs at
-//! most one generation of progress, never the ledger.
+//! The ledger is the fleet's durability story, and a campaign's: each
+//! campaign cell runs as a fleet job, so the ledger is the campaign's only
+//! durable record of which cells finished and what they found. Every save
+//! writes a **new generation file** (`ledger-NNNNNN.json`) with
+//! `dance-guard`'s `atomic_write_text` (temp + rename), then prunes all but
+//! the last few generations. Recovery walks generations newest-first and
+//! skips any that fail to parse — the same walk-back-over-torn-files
+//! discipline `CheckpointStore::latest_good` uses — so a crash at any
+//! instant costs at most one generation of progress, never the ledger.
 //!
 //! All 64-bit values (seeds, digests, f32 bit patterns) are stored as
 //! fixed-width hex strings: JSON numbers are f64 on the wire and would
@@ -17,8 +18,10 @@
 //! handoff guarantee. A `Leased` record loads back as `Pending` — a lease
 //! is an in-memory claim on a live worker, and no worker from a previous
 //! incarnation is still alive. Fields added after version 1 shipped
-//! (`penalty`, and every [`JobResult`] field but `digest` and `ran`) are
-//! optional on parse, so a ledger written before them still loads.
+//! (`penalty`, `data_seed`, `warmup`, and every [`JobResult`] field but
+//! `digest` and `ran`) are optional on parse, so a ledger written before
+//! them still loads, and a spec or result that leaves them at their
+//! defaults renders without them, byte for byte as before.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -46,21 +49,33 @@ pub struct JobSpec {
     pub epochs: u64,
     /// Mini-batch size, `2..=256`.
     pub batch: u64,
-    /// Seed for the benchmark, supernet init and search RNG.
+    /// Seed for the supernet init and search RNG.
     pub seed: u64,
     /// `f32::to_bits` of the λ₂ hardware-penalty weight.
     pub lambda2_bits: u32,
     /// Whether the loss carries the FLOPs penalty; `false` searches for
     /// accuracy alone.
     pub flops_penalty: bool,
+    /// Seed of the SynthTiny dataset the search trains on; `seed` by
+    /// default. A campaign cell sets its grid's dataset seed here.
+    pub data_seed: u64,
+    /// Epochs over which λ₂ ramps in, `1..=epochs`; 1 by default. A
+    /// campaign cell ramps over half its epochs.
+    pub warmup: u64,
 }
 
 /// The word [`JobSpec::digest`] folds in for a spec without the FLOPs
 /// penalty.
 const NO_PENALTY_WORD: u64 = 0x6e6f_2d70_656e_616c;
+/// The word [`JobSpec::digest`] folds in ahead of a `data_seed` other than
+/// `seed`.
+const DATA_SEED_WORD: u64 = 0x6461_7461_2d73_6564;
+/// The word [`JobSpec::digest`] folds in ahead of a `warmup` other than 1.
+const WARMUP_WORD: u64 = 0x7761_726d_2d75_7073;
 
 impl JobSpec {
-    /// Builds a spec from plain values, with the FLOPs penalty on.
+    /// Builds a spec from plain values, with the FLOPs penalty on, the
+    /// dataset seeded by `seed` and a one-epoch λ₂ ramp.
     #[must_use]
     pub fn new(epochs: u64, batch: u64, seed: u64, lambda2: f32) -> Self {
         Self {
@@ -69,6 +84,8 @@ impl JobSpec {
             seed,
             lambda2_bits: lambda2.to_bits(),
             flops_penalty: true,
+            data_seed: seed,
+            warmup: 1,
         }
     }
 
@@ -79,13 +96,14 @@ impl JobSpec {
     }
 
     /// FNV-1a digest over the spec fields — the idempotency key: two
-    /// submissions with the same spec are the same job. The penalty is
-    /// folded in only when it is off, so a penalised spec keeps the id it
-    /// had before the field existed.
+    /// submissions with the same spec are the same job. The penalty, the
+    /// dataset seed and the warm-up are folded in only when they differ
+    /// from their defaults, so a spec that leaves them there keeps the id
+    /// it had before those fields existed.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let fold = |d: u64, word: u64| (d ^ word).wrapping_mul(0x0000_0100_0000_01b3);
-        let d = [
+        let mut d = [
             self.epochs,
             self.batch,
             self.seed,
@@ -93,21 +111,26 @@ impl JobSpec {
         ]
         .into_iter()
         .fold(0xcbf2_9ce4_8422_2325, fold);
-        if self.flops_penalty {
-            d
-        } else {
-            fold(d, NO_PENALTY_WORD)
+        if !self.flops_penalty {
+            d = fold(d, NO_PENALTY_WORD);
         }
+        if self.data_seed != self.seed {
+            d = fold(fold(d, DATA_SEED_WORD), self.data_seed);
+        }
+        if self.warmup != 1 {
+            d = fold(fold(d, WARMUP_WORD), self.warmup);
+        }
+        d
     }
 
-    /// The search this spec runs, with λ₂ ramped in over the first epoch.
+    /// The search this spec runs, with λ₂ ramped in over `warmup` epochs.
     ///
     /// # Errors
     ///
-    /// Names the field when epochs exceed the fleet's cap of 64 or the
-    /// batch its cap of 256, and otherwise passes on what
-    /// [`SearchConfig`]'s own validation refuses (zero epochs, a batch
-    /// below 2, a non-finite λ₂).
+    /// Names the field when epochs exceed the fleet's cap of 64, the batch
+    /// its cap of 256, or the warm-up lies outside `1..=epochs`, and
+    /// otherwise passes on what [`SearchConfig`]'s own validation refuses
+    /// (zero epochs, a batch below 2, a non-finite λ₂).
     pub fn search_config(&self) -> Result<SearchConfig, String> {
         let capped = |value: u64, cap: usize, field: &str| {
             usize::try_from(value)
@@ -115,10 +138,22 @@ impl JobSpec {
                 .filter(|v| *v <= cap)
                 .ok_or_else(|| format!("{field} must be at most {cap}, got {value}"))
         };
+        let epochs = capped(self.epochs, 64, "epochs")?;
+        // Zero epochs is `SearchConfig`'s to name, so the warm-up's upper
+        // bound never drops below 1.
+        let warmup = usize::try_from(self.warmup)
+            .ok()
+            .filter(|w| (1..=epochs.max(1)).contains(w))
+            .ok_or_else(|| {
+                format!(
+                    "warmup must lie in 1..=epochs ({epochs}), got {}",
+                    self.warmup
+                )
+            })?;
         SearchConfig::builder()
-            .epochs(capped(self.epochs, 64, "epochs")?)
+            .epochs(epochs)
             .batch_size(capped(self.batch, 256, "batch")?)
-            .lambda2(LambdaWarmup::ramp(self.lambda2(), 1))
+            .lambda2(LambdaWarmup::ramp(self.lambda2(), warmup))
             .seed(self.seed)
             .build()
             .map_err(|e| e.to_string())
@@ -131,8 +166,9 @@ impl JobSpec {
     }
 
     /// Appends the spec as `,"key":value` pairs: `epochs`, `batch`, `seed`
-    /// and `lambda2` (the last two as hex, so they are exact), and
-    /// `"penalty":"none"` when the FLOPs penalty is off.
+    /// and `lambda2` (the last two as hex, so they are exact),
+    /// `"penalty":"none"` when the FLOPs penalty is off, and `data_seed`
+    /// (hex) and `warmup` when they differ from their defaults.
     pub fn render_fields(&self, out: &mut String) {
         out.push_str(",\"epochs\":");
         push_num(out, self.epochs as f64);
@@ -145,23 +181,92 @@ impl JobSpec {
         if !self.flops_penalty {
             out.push_str(",\"penalty\":\"none\"");
         }
+        if self.data_seed != self.seed {
+            out.push_str(",\"data_seed\":");
+            push_hex(out, self.data_seed);
+        }
+        if self.warmup != 1 {
+            out.push_str(",\"warmup\":");
+            push_num(out, self.warmup as f64);
+        }
     }
 
     /// Reads back what [`JobSpec::render_fields`] wrote into `j`. A record
-    /// without `penalty` carries the FLOPs penalty.
+    /// without `penalty` carries the FLOPs penalty, one without
+    /// `data_seed` trains on the dataset of its `seed`, and one without
+    /// `warmup` ramps λ₂ in over one epoch.
     ///
     /// # Errors
     ///
     /// Names the first missing or malformed field.
     pub fn parse(j: &Json) -> Result<Self, String> {
+        let seed = get_hex(j, "seed")?;
+        let optional = |key: &str, get: fn(&Json, &str) -> Result<u64, String>, default| {
+            j.get(key).map_or(Ok(default), |_| get(j, key))
+        };
         Ok(Self {
             epochs: get_num(j, "epochs")?,
             batch: get_num(j, "batch")?,
-            seed: get_hex(j, "seed")?,
+            seed,
             lambda2_bits: get_hex32(j, "lambda2")?,
             flops_penalty: j.get("penalty").and_then(Json::as_str) != Some("none"),
+            data_seed: optional("data_seed", get_hex, seed)?,
+            warmup: optional("warmup", get_num, 1)?,
         })
     }
+}
+
+/// One epoch of a job's search: the architecture derived at the epoch's
+/// end and its held-out accuracy, what a campaign prices and folds.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EpochPoint {
+    /// The derived architecture: one candidate index per slot.
+    pub choices: Vec<u8>,
+    /// `f32::to_bits` of the architecture's held-out accuracy.
+    pub accuracy_bits: u32,
+}
+
+impl EpochPoint {
+    /// The held-out accuracy as a float.
+    #[must_use]
+    pub fn accuracy(&self) -> f32 {
+        f32::from_bits(self.accuracy_bits)
+    }
+}
+
+/// Appends `points` as a JSON array of `{"choices":[…],"accuracy":hex}`
+/// objects, epoch 0 first.
+pub(crate) fn render_trajectory(points: &[EpochPoint], out: &mut String) {
+    out.push('[');
+    for (i, p) in points.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"choices\":");
+        push_choices(out, &p.choices);
+        out.push_str(",\"accuracy\":");
+        push_hex(out, u64::from(p.accuracy_bits));
+        out.push('}');
+    }
+    out.push(']');
+}
+
+/// Reads back what [`render_trajectory`] wrote.
+///
+/// # Errors
+///
+/// Names the first malformed point.
+pub(crate) fn parse_trajectory(j: &Json) -> Result<Vec<EpochPoint>, String> {
+    j.as_arr()
+        .ok_or("trajectory is not an array")?
+        .iter()
+        .map(|p| {
+            Ok(EpochPoint {
+                choices: parse_choices(p)?,
+                accuracy_bits: get_hex32(p, "accuracy")?,
+            })
+        })
+        .collect()
 }
 
 /// What a finished job produced: the one record
@@ -180,24 +285,22 @@ pub struct JobResult {
     pub final_entropy_bits: Option<u32>,
     /// Guard report of the attempt that finished the job.
     pub guard: GuardReport,
+    /// Every epoch's derived architecture and held-out accuracy, epoch 0
+    /// first, across all attempts.
+    pub trajectory: Vec<EpochPoint>,
 }
 
 impl JobResult {
     /// Appends the result as `,"key":value` pairs: `digest`, `ran`,
-    /// `choices`, `entropy` (when an epoch ran) and `guard`.
+    /// `choices`, `entropy` (when an epoch ran), `guard` and `trajectory`
+    /// (when it holds a point).
     pub fn render_fields(&self, out: &mut String) {
         out.push_str(",\"digest\":");
         push_hex(out, self.digest);
         out.push_str(",\"ran\":");
         push_num(out, self.epochs as f64);
-        out.push_str(",\"choices\":[");
-        for (i, c) in self.choices.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_num(out, f64::from(*c));
-        }
-        out.push(']');
+        out.push_str(",\"choices\":");
+        push_choices(out, &self.choices);
         if let Some(bits) = self.final_entropy_bits {
             out.push_str(",\"entropy\":");
             push_hex(out, u64::from(bits));
@@ -212,22 +315,25 @@ impl JobResult {
             out.push_str(&format!(",\"resumed_from_epoch\":{e}"));
         }
         out.push('}');
+        if !self.trajectory.is_empty() {
+            out.push_str(",\"trajectory\":");
+            render_trajectory(&self.trajectory, out);
+        }
     }
 
     /// Reads back what [`JobResult::render_fields`] wrote into `j`. Only
     /// `digest` and `ran` are required: a record written before the other
-    /// fields existed loads with no choices, no entropy and an empty guard
-    /// report.
+    /// fields existed loads with no choices, no entropy, an empty guard
+    /// report and no trajectory.
     ///
     /// # Errors
     ///
     /// Names the first missing or malformed field.
     pub fn parse(j: &Json) -> Result<Self, String> {
-        let mut choices = Vec::new();
-        for c in j.get("choices").and_then(Json::as_arr).unwrap_or(&[]) {
-            let c = c.as_f64().filter(|c| (0.0..256.0).contains(c));
-            choices.push(c.ok_or("bad choices entry")? as u8);
-        }
+        let choices = parse_choices(j)?;
+        let trajectory = j
+            .get("trajectory")
+            .map_or(Ok(Vec::new()), parse_trajectory)?;
         let final_entropy_bits = j
             .get("entropy")
             .map(|_| get_hex32(j, "entropy"))
@@ -249,6 +355,7 @@ impl JobResult {
             choices,
             final_entropy_bits,
             guard,
+            trajectory,
         })
     }
 }
@@ -457,6 +564,27 @@ fn push_hex(out: &mut String, v: u64) {
     push_escaped(out, &format!("{v:016x}"));
 }
 
+fn push_choices(out: &mut String, choices: &[u8]) {
+    out.push('[');
+    for (i, c) in choices.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_num(out, f64::from(*c));
+    }
+    out.push(']');
+}
+
+/// Reads `j`'s `choices` array; a record without one has none.
+fn parse_choices(j: &Json) -> Result<Vec<u8>, String> {
+    let mut choices = Vec::new();
+    for c in j.get("choices").and_then(Json::as_arr).unwrap_or(&[]) {
+        let c = c.as_f64().filter(|c| (0.0..256.0).contains(c));
+        choices.push(c.ok_or("bad choices entry")? as u8);
+    }
+    Ok(choices)
+}
+
 fn get_hex(j: &Json, key: &str) -> Result<u64, String> {
     j.get(key)
         .and_then(Json::as_str)
@@ -602,17 +730,24 @@ mod tests {
     }
 
     #[test]
-    fn full_results_and_specs_without_the_penalty_round_trip() {
+    fn full_results_and_specs_off_their_defaults_round_trip() {
         let mut l = Ledger::new();
         let penalised = JobSpec::new(2, 32, 7, 0.1);
         let plain = JobSpec {
             flops_penalty: false,
             ..penalised
         };
+        let cell = JobSpec {
+            data_seed: 1 << 60,
+            warmup: 2,
+            ..penalised
+        };
         let (id, _) = l.submit(penalised);
         let (plain_id, deduped) = l.submit(plain);
         assert!(!deduped, "the penalty is part of the job's identity");
         assert_ne!(id, plain_id);
+        let (cell_id, deduped) = l.submit(cell);
+        assert!(!deduped, "the dataset seed and warm-up are too");
         l.jobs.get_mut(&id).expect("job").status = JobStatus::Done(JobResult {
             digest: 0x68ad_2158_7d07_401d,
             epochs: 2,
@@ -624,10 +759,22 @@ mod tests {
                 checkpoints_written: 2,
                 ..GuardReport::default()
             },
+            trajectory: vec![
+                EpochPoint {
+                    choices: vec![5, 6, 4, 2, 6, 6, 2, 1, 1],
+                    accuracy_bits: 0.3125_f32.to_bits(),
+                },
+                EpochPoint {
+                    choices: vec![5, 6, 4, 2, 6, 6, 2, 1, 2],
+                    accuracy_bits: 0.343_75_f32.to_bits(),
+                },
+            ],
         });
         let text = l.render();
+        assert!(text.contains(r#","data_seed":"1000000000000000","warmup":2,"#));
         let back = Ledger::parse(&text).expect("rendered ledger parses");
         assert_eq!(back, l);
+        assert_eq!(back.jobs[&cell_id].spec, cell);
         assert_eq!(back.render(), text);
     }
 
@@ -788,6 +935,25 @@ mod tests {
         assert_ne!(base.digest(), JobSpec::new(4, 33, 7, 0.1).digest());
         assert_ne!(base.digest(), JobSpec::new(4, 32, 8, 0.1).digest());
         assert_ne!(base.digest(), JobSpec::new(4, 32, 7, 0.2).digest());
+        let data = JobSpec {
+            data_seed: 8,
+            ..base
+        };
+        let warm = JobSpec { warmup: 2, ..base };
+        let both = JobSpec { warmup: 2, ..data };
+        let digests = [base, data, warm, both].map(|s| s.digest());
+        for (i, a) in digests.iter().enumerate() {
+            for b in &digests[i + 1..] {
+                assert_ne!(a, b, "{digests:x?}");
+            }
+        }
+        // The dataset seed is folded as its own field, not as the seed: a
+        // spec seeded 8 with data seed 7 is not one seeded 7 with data 8.
+        let swapped = JobSpec {
+            data_seed: 7,
+            ..JobSpec::new(4, 32, 8, 0.1)
+        };
+        assert_ne!(data.digest(), swapped.digest());
         assert!(base.job_id().starts_with("fjob-"));
     }
 }

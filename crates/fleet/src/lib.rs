@@ -18,15 +18,19 @@
 //!   fencing. Workers heartbeat to renew; the supervisor reclaims expired
 //!   leases; stale attempts that wake up later are fenced off so they can
 //!   never clobber a re-dispatched run.
-//! * [`worker`] — the single job-execution path. Checkpoints land every
-//!   epoch *before* the heartbeat fires, so a re-dispatched attempt
-//!   resumes from the last heartbeat's state and reproduces the
-//!   uninterrupted run's `arch-digest` bit-for-bit.
+//! * [`worker`] — the single job-execution path. Each epoch's checkpoint
+//!   lands, then its derived architecture and held-out accuracy are
+//!   recorded in a trajectory file beside it, and only then does the
+//!   heartbeat fire, so a re-dispatched attempt resumes from the last
+//!   heartbeat's state and reproduces the uninterrupted run's
+//!   `arch-digest` and trajectory ([`ledger::JobResult::trajectory`])
+//!   bit-for-bit.
 //!
 //! One supervisor drives those pieces: [`supervisor::Fleet`] claims jobs on
 //! worker threads and runs each attempt over one of two transports — on
 //! the worker thread itself (what `dance-serve` mounts behind its
-//! `fleet/*` endpoints, as its only search executor), or as a `--worker`
+//! `fleet/*` endpoints, as its only search executor, and what every
+//! `dance-campaign` campaign runs its cells on), or as a `--worker`
 //! child process spawned through [`process`] (what the `dance_fleet`
 //! binary and the SIGKILL chaos drills use). Claim, renewal, fenced
 //! completion and reclaim are written once, so the transports differ only
@@ -62,7 +66,9 @@ fn tmp_dir(name: &str) -> std::path::PathBuf {
 /// Convenient glob-import of the fleet's most used items.
 pub mod prelude {
     pub use crate::lease::{Lease, LeaseTable};
-    pub use crate::ledger::{JobRecord, JobResult, JobSpec, JobStatus, Ledger, LedgerStore};
+    pub use crate::ledger::{
+        EpochPoint, JobRecord, JobResult, JobSpec, JobStatus, Ledger, LedgerStore,
+    };
     pub use crate::process::run_fleet;
     pub use crate::supervisor::{
         Fleet, FleetCounts, FleetOpts, JobView, ManualClock, SubmitError, WorkerHealth,

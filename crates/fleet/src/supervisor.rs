@@ -26,6 +26,9 @@
 //! Time is one clock: monotonic, or a [`ManualClock`] that a drill
 //! advances (an advance wakes the sweep).
 //!
+//! One supervisor thread starts the worker threads, runs the lease sweep
+//! and joins the workers before it ends; [`Fleet::shutdown`] joins it.
+//!
 //! Locking follows the workspace single-lock rule: all mutable state,
 //! running children included, lives in one `Mutex<Core>`, never held
 //! across I/O or a join (a `SIGKILL` sent or a pipe closed under it does
@@ -362,8 +365,8 @@ impl Shared {
 /// Handle to a running in-process fleet.
 pub struct Fleet {
     shared: Arc<Shared>,
-    // Taken out whole by `shutdown`, so the joins hold no lock.
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    // Taken out by `shutdown`, so the join holds no lock.
+    supervisor: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Fleet {
@@ -428,24 +431,50 @@ impl Fleet {
             let first = clock.fleet.set(Arc::downgrade(&shared)).is_ok();
             assert!(first, "a manual clock drives one fleet");
         }
-        let mut threads = Vec::with_capacity(workers + 1);
-        for w in 0..workers {
-            let s = Arc::clone(&shared);
-            let name = format!("fleet-w{w}");
-            threads.push(dance_backend::spawn_service(&name.clone(), move || {
-                worker_loop(&s, &name);
-            })?);
-        }
+        // The supervisor thread starts the workers, runs the sweep and joins
+        // the workers before it ends, so it is the first fleet thread to run
+        // and the last to end. An allocator that gives a new thread the
+        // arena of the thread that ended last (glibc does) then keeps the
+        // sweep's arena out of every search, and a process that runs fleet
+        // after fleet (a campaign at a time) holds the memory of `workers`
+        // searches, not one more.
+        let (started_tx, started) = std::sync::mpsc::channel();
         let s = Arc::clone(&shared);
-        threads.push(dance_backend::spawn_service(
-            "fleet-supervisor",
-            move || {
+        let supervisor = dance_backend::spawn_service("fleet-supervisor", move || {
+            let mut handles = Vec::with_capacity(workers);
+            let spawned = (0..workers).try_for_each(|w| {
+                let ws = Arc::clone(&s);
+                let name = format!("fleet-w{w}");
+                handles.push(dance_backend::spawn_service(&name.clone(), move || {
+                    worker_loop(&ws, &name);
+                })?);
+                Ok(())
+            });
+            if spawned.is_ok() {
+                let _sent = started_tx.send(spawned);
                 sweep_loop(&s);
-            },
-        )?);
+            } else {
+                // The workers already started stop before `start` fails.
+                s.core().shutdown = true;
+                s.cv.notify_all();
+                let _sent = started_tx.send(spawned);
+            }
+            for h in handles {
+                let _unused = h.join();
+            }
+        })?;
+        let started = started.recv().unwrap_or_else(|_| {
+            Err(io::Error::other(
+                "fleet supervisor ended before its workers started",
+            ))
+        });
+        if let Err(e) = started {
+            let _unused = supervisor.join();
+            return Err(e);
+        }
         Ok(Self {
             shared,
-            threads: Mutex::new(threads),
+            supervisor: Mutex::new(Some(supervisor)),
         })
     }
 
@@ -564,11 +593,15 @@ impl Fleet {
             }
         }
         self.shared.cv.notify_all();
-        let threads =
-            std::mem::take(&mut *self.threads.lock().unwrap_or_else(PoisonError::into_inner));
-        // Joins happen with no lock held; every fleet thread releases the
-        // core lock while it waits or runs an attempt.
-        for t in threads {
+        let supervisor = self
+            .supervisor
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        // The join holds no lock; every fleet thread releases the core lock
+        // while it waits or runs an attempt, and the supervisor joins the
+        // workers before it ends.
+        if let Some(t) = supervisor {
             let _unused = t.join();
         }
         self.shared.core().dirty = true;
@@ -985,20 +1018,27 @@ mod tests {
         // answers `Draining` for exactly the specs it would accept.
         fleet.drain();
         assert!(fleet.counts().draining);
-        // The caps are the fleet's; the lower bounds are `SearchConfig`'s.
-        for (epochs, batch, lambda2, field) in [
-            (0, 16, 0.1, "epochs"),
-            (65, 16, 0.1, "epochs"),
-            (2, 1, 0.1, "batch"),
-            (2, 257, 0.1, "batch"),
-            (2, 16, f32::NAN, "lambda2"),
+        // The caps and the warm-up's range are the fleet's; the lower
+        // bounds are `SearchConfig`'s.
+        for (epochs, batch, lambda2, warmup, field) in [
+            (0, 16, 0.1, 1, "epochs"),
+            (65, 16, 0.1, 1, "epochs"),
+            (2, 1, 0.1, 1, "batch"),
+            (2, 257, 0.1, 1, "batch"),
+            (2, 16, f32::NAN, 1, "lambda2"),
+            (2, 16, 0.1, 0, "warmup"),
+            (2, 16, 0.1, 3, "warmup"),
         ] {
+            let spec = JobSpec {
+                warmup,
+                ..JobSpec::new(epochs, batch, 1, lambda2)
+            };
             let err = fleet
-                .submit(JobSpec::new(epochs, batch, 1, lambda2))
+                .submit(spec)
                 .expect_err("out-of-range spec must be refused");
             assert!(
                 matches!(&err, SubmitError::Invalid(msg) if msg.contains(field)),
-                "{epochs}/{batch}: {err:?}"
+                "{epochs}/{batch}/{warmup}: {err:?}"
             );
         }
         for (epochs, batch) in [(1, 2), (64, 256)] {

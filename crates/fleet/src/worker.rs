@@ -1,15 +1,21 @@
 //! The fleet worker: runs one leased search job with checkpoint handoff.
 //!
 //! [`run_job`] is the single execution path every worker flavor shares —
-//! in-process threads (the supervisor's own pool, used by `dance-serve`)
-//! and child processes (`dance_fleet --worker`) both call it. The job spec
-//! fully determines the search (benchmark, supernet init and RNG all derive
-//! from the seed), checkpoints land under a per-job directory, and a
-//! re-dispatched attempt resumes from the last durable checkpoint — so a
-//! recovered run reproduces the uninterrupted run's `arch-digest`
-//! bit-for-bit. The per-epoch observer fires only *after* that epoch's
-//! checkpoint is durable, which is what makes a heartbeat an honest claim:
-//! "everything up to here survives my death."
+//! in-process threads (the supervisor's own pool, used by `dance-serve`
+//! and by every campaign) and child processes (`dance_fleet --worker`)
+//! both call it. The job spec fully determines the search (dataset,
+//! supernet init and RNG all derive from its seeds), checkpoints land
+//! under a per-job directory, and a re-dispatched attempt resumes from the
+//! last durable checkpoint — so a recovered run reproduces the
+//! uninterrupted run's `arch-digest` bit-for-bit. Each epoch ends in the
+//! same order: the checkpoint lands, the epoch's derived architecture and
+//! held-out accuracy are recorded in the trajectory file beside it, and
+//! only then does the heartbeat fire, which is what makes a heartbeat an
+//! honest claim: "everything up to here survives my death." A resumed
+//! attempt first deletes any checkpoint newer than its last recorded
+//! point, so an epoch whose record a kill lost is run again rather than
+//! resumed past, and the finished job's trajectory equals the
+//! uninterrupted run's.
 //!
 //! The process entry point ([`worker_main`]) takes its job as
 //! `--spec '<JSON>'`, the spec fields the ledger stores, written and read
@@ -26,13 +32,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use dance::prelude::{
-    dance_search_traced, ArchParams, Benchmark, CheckpointConfig, GuardConfig, Penalty, Supernet,
+    dance_search_traced, evaluate_fixed, ArchParams, Benchmark, CheckpointConfig, GuardConfig,
+    Penalty, Supernet,
 };
+use dance_guard::checkpoint::{atomic_write_text, CheckpointStore};
 use dance_telemetry::json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::ledger::{JobResult, JobSpec};
+use crate::ledger::{parse_trajectory, render_trajectory, EpochPoint, JobResult, JobSpec};
 
 /// Scripted misbehavior for one attempt: the fleet's one per-attempt fault
 /// script. A thread attempt applies it in its heartbeat hook, and a child
@@ -47,17 +55,23 @@ pub struct AttemptChaos {
     pub stall_from: Option<usize>,
 }
 
+/// The file beside a job's checkpoints that records its trajectory.
+const TRAJECTORY_FILE: &str = "trajectory.json";
+
 /// Runs one attempt of `spec`, checkpointing every epoch under
 /// `ckpt_dir` and (when `resume` is set) resuming from the latest good
-/// checkpoint there. `on_epoch` fires after each epoch's checkpoint is
-/// durable — the heartbeat hook.
+/// checkpoint there that is not newer than the last recorded point. After
+/// each epoch's checkpoint is durable, the epoch's derived architecture
+/// and held-out accuracy are recorded beside it, and then `on_epoch` fires
+/// — the heartbeat hook.
 ///
 /// # Panics
 ///
 /// Panics with the [`JobSpec::search_config`] error when the spec is out of
 /// range, which fails the job on either transport (the supervisor refuses
-/// such specs at submission, so only an older ledger's can get here), and
-/// under the same conditions as `dance_search_guarded`.
+/// such specs at submission, so only an older ledger's can get here), when
+/// a checkpoint past the last recorded point cannot be deleted, and under
+/// the same conditions as `dance_search_guarded`.
 pub fn run_job(
     spec: &JobSpec,
     ckpt_dir: &Path,
@@ -67,7 +81,7 @@ pub fn run_job(
     let cfg = spec
         .search_config()
         .unwrap_or_else(|e| panic!("invalid job spec: {e}"));
-    let bench = Benchmark::tiny(cfg.seed);
+    let bench = Benchmark::tiny(spec.data_seed);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let net = Supernet::new(bench.supernet, &mut rng);
     let arch = ArchParams::new(bench.template.num_slots(), &mut rng);
@@ -81,6 +95,11 @@ pub fn run_job(
         resume_from: resume.then(|| ckpt_dir.to_path_buf()),
         ..GuardConfig::default()
     };
+    let mut trajectory = if resume {
+        resume_trajectory(ckpt_dir)
+    } else {
+        Vec::new()
+    };
     let out = dance_search_traced(
         &net,
         &arch,
@@ -89,6 +108,22 @@ pub fn run_job(
         &cfg,
         &guard_cfg,
         &mut |s| {
+            let choices = arch.derive();
+            // Reads no RNG and no running statistics, so the search goes
+            // on exactly as it would without the record.
+            let accuracy = evaluate_fixed(&net, &choices, &bench.data);
+            // A re-run epoch replaces its recorded point.
+            trajectory.truncate(s.epoch);
+            trajectory.push(EpochPoint {
+                choices: choices.iter().map(|c| c.index() as u8).collect(),
+                accuracy_bits: accuracy.to_bits(),
+            });
+            // Like a checkpoint's, a failed record never aborts the search:
+            // the result still carries the point, and a resume re-runs the
+            // epoch.
+            if let Err(e) = save_trajectory(ckpt_dir, &trajectory) {
+                eprintln!("dance-fleet: cannot record epoch {}: {e}", s.epoch);
+            }
             on_epoch(s.epoch);
         },
     );
@@ -98,7 +133,43 @@ pub fn run_job(
         choices: out.choices.iter().map(|c| c.index() as u8).collect(),
         final_entropy_bits: out.history.last().map(|s| s.arch_entropy.to_bits()),
         guard: out.guard,
+        trajectory,
     }
+}
+
+/// The points an earlier attempt recorded under `dir`, after deleting
+/// every checkpoint newer than the last of them (all of them when none was
+/// recorded): a kill between an epoch's checkpoint and its record leaves a
+/// checkpoint whose point is missing, and resuming past it would lose the
+/// point.
+fn resume_trajectory(dir: &Path) -> Vec<EpochPoint> {
+    let points = load_trajectory(dir);
+    let store = CheckpointStore::new(CheckpointConfig::every_epoch(dir.to_path_buf()));
+    for (epoch, path) in store.list() {
+        if epoch >= points.len() {
+            std::fs::remove_file(&path)
+                .unwrap_or_else(|e| panic!("cannot prune {}: {e}", path.display()));
+        }
+    }
+    points
+}
+
+/// The trajectory recorded under `dir`; empty when there is none or it
+/// does not parse, which makes a resume start over.
+fn load_trajectory(dir: &Path) -> Vec<EpochPoint> {
+    std::fs::read_to_string(dir.join(TRAJECTORY_FILE))
+        .map_err(|e| e.to_string())
+        .and_then(|text| json::parse(&text))
+        .and_then(|doc| parse_trajectory(doc.get("trajectory").ok_or("no trajectory")?))
+        .unwrap_or_default()
+}
+
+/// Atomically rewrites the trajectory file under `dir`.
+fn save_trajectory(dir: &Path, points: &[EpochPoint]) -> std::io::Result<()> {
+    let mut text = String::from("{\"trajectory\":");
+    render_trajectory(points, &mut text);
+    text.push('}');
+    atomic_write_text(dir.join(TRAJECTORY_FILE), &text)
 }
 
 /// Parsed `dance_fleet --worker` command line: `--spec`, `--ckpt`,
@@ -274,8 +345,15 @@ mod tests {
 
     #[test]
     fn worker_args_round_trip_through_argv() {
+        // Shaped like a campaign cell, so both spec fields that leave their
+        // defaults ride `--spec` too.
+        let spec = JobSpec {
+            data_seed: 1 << 60,
+            warmup: 3,
+            ..JobSpec::new(6, 32, 11, 0.25)
+        };
         let args = WorkerArgs {
-            spec: JobSpec::new(6, 32, 11, 0.25),
+            spec,
             ckpt: PathBuf::from("/tmp/ckpt/fjob-x"),
             resume: true,
             chaos: AttemptChaos {
@@ -337,6 +415,12 @@ mod tests {
         let spec = JobSpec::new(4, 16, 13, 0.1);
 
         let straight = run_job(&spec, &straight_dir, false, &mut |_| {});
+        assert_eq!(straight.trajectory.len(), 4, "one point per epoch");
+        let last = straight.trajectory.last().expect("a last point");
+        assert_eq!(
+            last.choices, straight.choices,
+            "the last point is the result"
+        );
 
         // First attempt "dies" after epoch 1: stop the search by panicking
         // from the observer once epoch 1's checkpoint is durable.
@@ -349,13 +433,23 @@ mod tests {
             })
         }));
         assert!(first.is_err(), "first attempt must die");
+        // Make it a death between epoch 1's checkpoint and its record.
+        let mut recorded = load_trajectory(&handoff_dir);
+        assert_eq!(
+            recorded,
+            straight.trajectory[..2],
+            "epochs 0 and 1 recorded"
+        );
+        recorded.pop();
+        save_trajectory(&handoff_dir, &recorded).expect("rewrite the record");
 
-        // Second attempt resumes from the durable checkpoint and lands on
-        // the exact digest of the uninterrupted run.
+        // Second attempt prunes epoch 1's checkpoint, resumes from epoch 0,
+        // runs epoch 1 again and lands on the uninterrupted run exactly.
         let resumed = run_job(&spec, &handoff_dir, true, &mut |_| {});
         assert_eq!(resumed.digest, straight.digest, "handoff must be bit-exact");
         assert_eq!(resumed.epochs, straight.epochs);
-        assert_eq!(resumed.guard.resumed_from_epoch, Some(1));
+        assert_eq!(resumed.trajectory, straight.trajectory);
+        assert_eq!(resumed.guard.resumed_from_epoch, Some(0));
 
         let _cleanup = std::fs::remove_dir_all(&straight_dir);
         let _cleanup2 = std::fs::remove_dir_all(&handoff_dir);

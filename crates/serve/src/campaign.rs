@@ -1,13 +1,18 @@
 //! Campaign orchestration behind the `campaign/*` endpoint family.
 //!
-//! A submitted campaign runs on its own orchestrator thread (workers fan
-//! out inside `dance_campaign::run_campaign`, bounded by the requested
-//! concurrency or the shared backend pool width); its event log is kept in
-//! the table so any number of `campaign/stream` connections can replay the
-//! NDJSON `frontier_update` sequence from any offset and then follow live.
-//! `campaign/cancel` flips the campaign's [`CancelToken`]; in-flight cells
-//! unwind at their next epoch boundary and the campaign directory stays
-//! resumable offline via `dance_campaign --resume`.
+//! A submitted campaign runs on its own orchestrator thread, and its cells
+//! as jobs of its own `dance-fleet` fleet under `<campaign_root>/camp-N/`
+//! (`dance_campaign::run_campaign`, with as many workers as the requested
+//! concurrency or the shared backend pool width). A new campaign gets the
+//! first `camp-N` whose directory does not exist yet, so a restarted server
+//! never reuses, and wipes, an earlier campaign's directory. Its event log
+//! is kept in the table so any number of `campaign/stream` connections can
+//! replay the NDJSON `frontier_update` sequence from any offset and then
+//! follow live. `campaign/cancel` flips the campaign's [`CancelToken`]:
+//! the campaign sees it at its fleet's next event (within one epoch) and
+//! shuts its fleet down, so cells in flight finish, queued cells stay
+//! pending in the ledger, and the campaign directory stays resumable
+//! offline via `dance_campaign --resume`.
 //!
 //! # Lock discipline
 //!
@@ -80,7 +85,8 @@ impl CampaignTable {
         self.items.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Accepts a campaign spec and spawns its orchestrator thread.
+    /// Accepts a campaign spec and spawns its orchestrator thread, under
+    /// the first `camp-N` whose directory under the root does not exist.
     ///
     /// # Errors
     ///
@@ -88,7 +94,12 @@ impl CampaignTable {
     /// be spawned.
     pub fn submit(&self, mut spec: CampaignSpec) -> Result<String, ProtoError> {
         spec.validate().map_err(ProtoError::bad_request)?;
-        let id = format!("camp-{}", self.next_id.fetch_add(1, Ordering::Relaxed));
+        let id = loop {
+            let id = format!("camp-{}", self.next_id.fetch_add(1, Ordering::Relaxed));
+            if !self.root.join(&id).exists() {
+                break id;
+            }
+        };
         spec.name = id.clone();
         spec.root = self.root.join(&id);
         let log = Arc::new(EventLog::new());
@@ -250,7 +261,8 @@ fn summary_payload(out: &dance_campaign::prelude::CampaignOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dance_campaign::prelude::Envelope;
+    use dance_campaign::prelude::{Envelope, Waited};
+    use dance_telemetry::json::{self, Json};
     use std::time::Duration;
 
     fn tiny_spec() -> CampaignSpec {
@@ -289,6 +301,57 @@ mod tests {
         assert!(status.contains("\"state\":\"done\""), "{status}");
         assert!(status.contains("\"digest\":"), "{status}");
         assert_eq!(table.counts().done, 1);
+        let _cleanup = std::fs::remove_dir_all(&root);
+    }
+
+    /// Blocks until campaign `id` of `table` finishes, and returns its
+    /// frontier digest.
+    fn finished_digest(table: &CampaignTable, id: &str) -> String {
+        let log = table.log(id).expect("log exists");
+        let mut seq = 0;
+        loop {
+            match log.wait_next(seq, Duration::from_secs(120)) {
+                Waited::Line(_) => seq += 1,
+                Waited::Done => break,
+                Waited::TimedOut => panic!("campaign {id} did not finish in time"),
+            }
+        }
+        table.shutdown();
+        let status = table.status(id).expect("status");
+        let doc = json::parse(&format!("{{{status}}}")).expect("status parses");
+        assert_eq!(doc.get("state").and_then(Json::as_str), Some("done"));
+        let digest = doc.get("digest").and_then(Json::as_str);
+        digest
+            .expect("a finished campaign has a digest")
+            .to_string()
+    }
+
+    #[test]
+    fn a_restarted_table_never_reuses_a_campaign_directory() {
+        let root =
+            std::env::temp_dir().join(format!("dance_serve_camp_restart_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let first = CampaignTable::new(root.clone());
+        let id = first.submit(tiny_spec()).expect("first submit");
+        let digest = finished_digest(&first, &id);
+        drop(first);
+
+        // A server restarted over the same root starts counting at 0 again;
+        // its first campaign must not take over, and wipe, the earlier one.
+        let second = CampaignTable::new(root.clone());
+        let mut other = tiny_spec();
+        other.lambda2 = vec![0.4];
+        let other_id = second.submit(other).expect("second submit");
+        assert_ne!(other_id, id, "a restarted table reused {id}");
+        let _other_digest = finished_digest(&second, &other_id);
+
+        // The first campaign's directory still resumes to its digest.
+        let mut spec = tiny_spec();
+        spec.root = root.join(&id);
+        let log = Arc::new(EventLog::new());
+        let cancel = Arc::new(CancelToken::new());
+        let resumed = run_campaign(&spec, true, &log, &cancel).expect("resume");
+        assert_eq!(format!("{:016x}", resumed.digest()), digest);
         let _cleanup = std::fs::remove_dir_all(&root);
     }
 

@@ -69,8 +69,9 @@ pub struct ServeConfig {
     /// Unused: search jobs run on the fleet and checkpoint under
     /// `fleet_root`. Kept because `perfbench` sets it.
     pub ckpt_root: std::path::PathBuf,
-    /// Root directory for campaign manifests and per-cell checkpoints
-    /// (`<campaign_root>/<campaign-id>/`).
+    /// Root directory for campaigns: each runs its cells on its own fleet
+    /// under `<campaign_root>/<campaign-id>/` (a `ledger/` and per-job
+    /// checkpoints in `ckpt/<job-id>/`).
     pub campaign_root: std::path::PathBuf,
     /// Fleet worker threads, each running one `fleet/*` job at a time.
     pub fleet_workers: usize,

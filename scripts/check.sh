@@ -135,6 +135,68 @@ if ! grep -Eq "[1-9][0-9]* reclaims, 1 kills," "${drill_dir}/drill.log"; then
 fi
 grep "^fleet:" "${drill_dir}/drill.log"
 
+# SIGKILL resume drills: a guarded search and a campaign, each killed once
+# its first checkpoint exists, must resume to the uninterrupted run's
+# digest. The campaign's digest is also pinned, since a change to what a
+# cell runs would move the straight and the resumed run alike.
+cargo build --release -q --bin dance_search --bin dance_campaign
+
+# Runs "$@" in the background and SIGKILLs it once a file matching the glob
+# $1 (its first checkpoint) exists, so the kill lands mid-run on any host.
+# Fails if the run ends before the kill.
+kill_at_first() {
+  local marker="$1"
+  shift
+  "$@" >/dev/null 2>&1 &
+  local pid=$! status=0
+  until compgen -G "${marker}" >/dev/null; do
+    kill -0 "${pid}" 2>/dev/null || break
+    sleep 0.01
+  done
+  kill -KILL "${pid}" 2>/dev/null || true
+  wait "${pid}" || status=$?
+  if [ "${status}" -ne 137 ]; then
+    echo "run exited with ${status} before its kill: $*" >&2
+    return 1
+  fi
+}
+
+# Fails unless file $1 holds two digest lines, the straight run's and the
+# resumed run's, and they agree.
+same_digest() {
+  if [ "$(wc -l <"$1")" -ne 2 ] || [ "$(sort -u "$1" | wc -l)" -ne 1 ]; then
+    echo "resumed run diverged from the straight run:" >&2
+    cat "$1" >&2
+    return 1
+  fi
+  head -1 "$1"
+}
+
+echo "== guard drill: a search SIGKILLed mid-run resumes to the straight digest =="
+search=(./target/release/dance_search --epochs 4 --seed 3)
+"${search[@]}" --checkpoint-dir "${drill_dir}/search-straight" | grep "^arch-digest:" \
+  >"${drill_dir}/guard.txt"
+kill_at_first "${drill_dir}/search-drill/epoch-*.ckpt" \
+  "${search[@]}" --checkpoint-dir "${drill_dir}/search-drill"
+"${search[@]}" --checkpoint-dir "${drill_dir}/search-drill" --resume "${drill_dir}/search-drill" |
+  grep "^arch-digest:" >>"${drill_dir}/guard.txt"
+same_digest "${drill_dir}/guard.txt"
+
+echo "== campaign drill: a campaign SIGKILLed mid-run resumes to the pinned digest =="
+campaign=(./target/release/dance_campaign --lambda2 0.1,0.4 --seeds 0 --envelopes edge
+  --epochs 3 --batch 16)
+"${campaign[@]}" --dir "${drill_dir}/campaign-straight" | grep "^frontier-digest:" \
+  >"${drill_dir}/campaign.txt"
+kill_at_first "${drill_dir}/campaign-drill/ckpt/fjob-*/epoch-*.ckpt" \
+  "${campaign[@]}" --dir "${drill_dir}/campaign-drill"
+"${campaign[@]}" --dir "${drill_dir}/campaign-drill" --resume | grep "^frontier-digest:" \
+  >>"${drill_dir}/campaign.txt"
+same_digest "${drill_dir}/campaign.txt"
+if [ "$(head -1 "${drill_dir}/campaign.txt")" != "frontier-digest: 48e6f2473f1a4d4e" ]; then
+  echo "campaign drill: the digest moved off the pinned 48e6f2473f1a4d4e" >&2
+  exit 1
+fi
+
 # Work gate: five single-thread smoke runs, each into a temp
 # DANCE_BENCH_DIR so the committed BENCH_smoke.json is never rewritten.
 # The machine-independent counters (tape nodes, arena fresh/reuse, the

@@ -6,18 +6,18 @@
 #   scripts/run_experiments.sh [smoke|full]
 #
 # smoke (default): the tiny end-to-end pipeline (BENCH_smoke.json), the
-#   same pipeline with telemetry off, the guard and campaign drills (a run
-#   SIGKILLed after its first checkpoint must resume to the uninterrupted
-#   run's digest), the frozen-plan deliverable drill (search → --emit-plan
-#   → dance_plan, plan output must match the tape forward bit-for-bit), the
-#   tape-vs-plan latency bench (BENCH_plan.json) and a short serve load run
-#   (BENCH_serve.json) that must end in a graceful drain.
+#   same pipeline with telemetry off, the frozen-plan deliverable drill
+#   (search → --emit-plan → dance_plan, plan output must match the tape
+#   forward bit-for-bit), the tape-vs-plan latency bench (BENCH_plan.json)
+#   and a short serve load run (BENCH_serve.json) that must end in a
+#   graceful drain.
 # full: everything above plus the fleet chaos bench (BENCH_fleet.json) and
 #   the paper tables/figure binaries (table1–table4, fig5), each logged to
 #   results/<name>.log.
 #
 # scripts/check.sh is the CI gate (fmt, analysis, tests, the fleet chaos
-# drill); run it first to catch breakage before the long binaries.
+# drill, and the guard and campaign SIGKILL resume drills); run it first to
+# catch breakage before the long binaries.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,64 +38,12 @@ trap cleanup EXIT
 
 cargo build --release -q --workspace
 
-# Runs "$@" in the background and SIGKILLs it once a file matching the glob
-# $1 (its first checkpoint) exists, so the kill lands mid-run on any host.
-# Fails if the run ends before the kill.
-kill_at_first() {
-  local marker="$1"
-  shift
-  "$@" >/dev/null 2>&1 &
-  local pid=$! status=0
-  until compgen -G "${marker}" >/dev/null; do
-    kill -0 "${pid}" 2>/dev/null || break
-    sleep 0.01
-  done
-  kill -KILL "${pid}" 2>/dev/null || true
-  wait "${pid}" || status=$?
-  if [ "${status}" -ne 137 ]; then
-    echo "run exited with ${status} before its kill: $*" >&2
-    return 1
-  fi
-}
-
-# Fails unless file $1 holds two digest lines, the straight run's and the
-# resumed run's, and they agree.
-same_digest() {
-  if [ "$(wc -l <"$1")" -ne 2 ] || [ "$(sort -u "$1" | wc -l)" -ne 1 ]; then
-    echo "resumed run diverged from the straight run:" >&2
-    cat "$1" >&2
-    return 1
-  fi
-  head -1 "$1"
-}
-
 echo "== smoke pipeline (BENCH_smoke.json) =="
 cargo run --release -q -p dance-bench --bin smoke
 
 echo "== smoke pipeline with telemetry off =="
 mkdir -p "${scratch}/telemetry-off"
 DANCE_TELEMETRY=off DANCE_BENCH_DIR="${scratch}/telemetry-off" ./target/release/smoke
-
-echo "== guard drill: a search SIGKILLed mid-run resumes to the straight digest =="
-search=(./target/release/dance_search --epochs 4 --seed 3)
-"${search[@]}" --checkpoint-dir "${scratch}/search-straight" | grep "^arch-digest:" \
-  >"${scratch}/guard.txt"
-kill_at_first "${scratch}/search-drill/epoch-*.ckpt" \
-  "${search[@]}" --checkpoint-dir "${scratch}/search-drill"
-"${search[@]}" --checkpoint-dir "${scratch}/search-drill" --resume "${scratch}/search-drill" |
-  grep "^arch-digest:" >>"${scratch}/guard.txt"
-same_digest "${scratch}/guard.txt"
-
-echo "== campaign drill: a campaign SIGKILLed mid-run resumes to the straight digest =="
-campaign=(./target/release/dance_campaign --lambda2 0.1,0.4 --seeds 0 --envelopes edge
-  --epochs 3 --batch 16)
-"${campaign[@]}" --dir "${scratch}/campaign-straight" | grep "^frontier-digest:" \
-  >"${scratch}/campaign.txt"
-kill_at_first "${scratch}/campaign-drill/cells/cell-*/epoch-*.ckpt" \
-  "${campaign[@]}" --dir "${scratch}/campaign-drill"
-"${campaign[@]}" --dir "${scratch}/campaign-drill" --resume | grep "^frontier-digest:" \
-  >>"${scratch}/campaign.txt"
-same_digest "${scratch}/campaign.txt"
 
 echo "== frozen-plan drill: plan output must match the tape bit-for-bit =="
 ./target/release/dance_search --epochs 1 --seed 5 \

@@ -1,13 +1,15 @@
 //! `dance_campaign` — run (or resume) a co-search campaign from the
 //! command line.
 //!
-//! A campaign fans seeded guarded searches out over a λ₂ × dataset ×
-//! hardware-envelope grid and folds every per-epoch sample into one
-//! incremental Pareto frontier. The manifest under `--dir` is saved
-//! atomically after every folded sample, so a killed run restarted with
-//! `--resume` (and otherwise identical flags) finishes the unfinished
-//! cells and reproduces the uninterrupted run's `frontier-digest` line
-//! bit-for-bit.
+//! A campaign runs one seeded guarded search per cell of a λ₂ × dataset ×
+//! hardware-envelope grid, each as a `dance-fleet` job under `--dir` (the
+//! fleet's ledger in `ledger/`, checkpoints in `ckpt/<job-id>/`), and
+//! folds every cell's per-epoch samples into one incremental Pareto
+//! frontier. The ledger is the campaign's durable record, so a killed run
+//! restarted with `--resume` (and otherwise identical flags) refolds the
+//! finished cells, resumes the unfinished ones from their checkpoints and
+//! reproduces the uninterrupted run's `frontier-digest` line bit-for-bit.
+//! `--max-concurrency` sets the fleet's worker count.
 //!
 //! ```text
 //! dance_campaign [--lambda2 F,F,..] [--seeds N,N,..] [--envelopes full,edge]
@@ -19,10 +21,11 @@
 //!
 //! With `--emit-plan DIR`, the campaign's winning design — the frontier
 //! entry with the lexicographically smallest `(error, cost)` — is
-//! reconstructed from its cell's final checkpoint, its argmax architecture
-//! is frozen into an allocation-free inference plan, and the artifact is
-//! written to `DIR/plan.dplan`. Local runs only: the cell checkpoints are
-//! not available over `--attach`.
+//! reconstructed from the final checkpoint of its cell's job
+//! (`ckpt/<job-id>/`), its argmax architecture is frozen into an
+//! allocation-free inference plan, and the artifact is written to
+//! `DIR/plan.dplan`. Local runs only: the cell checkpoints are not
+//! available over `--attach`.
 //!
 //! With `--stream`, every `frontier_update` / `campaign_end` event is
 //! printed to stdout as NDJSON while the campaign runs — the same lines
@@ -317,7 +320,7 @@ fn main() -> ExitCode {
 
 /// Freezes the campaign winner — the front entry with the smallest
 /// `(error, cost)` — into `DIR/plan.dplan`, reconstructing the producing
-/// cell's model from its final checkpoint.
+/// cell's model from its job's final checkpoint.
 fn emit_winner_plan(
     spec: &CampaignSpec,
     frontier: &dance::prelude::Frontier,
@@ -354,16 +357,16 @@ fn emit_winner_plan(
                 winner.origin
             )
         })?;
-    // Rebuild the cell's model exactly as its worker did (shapes only),
+    // Rebuild the cell's model exactly as its fleet job did (shapes only),
     // then overwrite every parameter from the final checkpoint.
-    let cell_dir = spec.cell_dir(cell.id);
+    let ckpt = spec.root.join("ckpt").join(spec.cell_job(&cell).job_id());
     let mut rng = StdRng::seed_from_u64(cell.seed);
     let net = Supernet::new(SupernetConfig::tiny(), &mut rng);
     let arch = ArchParams::new(net.num_slots(), &mut rng);
-    let store = CheckpointStore::new(CheckpointConfig::every_epoch(cell_dir.clone()));
+    let store = CheckpointStore::new(CheckpointConfig::every_epoch(ckpt.clone()));
     let (epoch, snap) = store
         .latest_good()
-        .ok_or_else(|| format!("no readable checkpoint under {}", cell_dir.display()))?;
+        .ok_or_else(|| format!("no readable checkpoint under {}", ckpt.display()))?;
     snap.restore_params("supernet", &net.parameters())
         .map_err(|e| format!("checkpoint restore: {e}"))?;
     snap.restore_params("alpha", &arch.parameters())

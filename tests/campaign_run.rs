@@ -1,10 +1,12 @@
 //! End-to-end campaign smoke: a mini-grid of real guarded searches must
 //! fold into a dominance-consistent frontier, deduplicate repeated
-//! arch-digests, and stream a coherent event log.
+//! arch-digests, stream a coherent event log, and land on the pinned
+//! frontier digest.
 
 use std::sync::Arc;
 
 use dance_campaign::prelude::*;
+use dance_fleet::prelude::{JobStatus, LedgerStore};
 use dance_telemetry::json::{self, Json};
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -36,6 +38,9 @@ fn mini_campaign_produces_a_consistent_streamed_frontier() {
     assert_eq!(out.cells_done, 3);
     assert_eq!(out.cells_failed, 0);
     assert!(!out.cancelled);
+    // A change that moves every run alike (a cell built differently from
+    // the search it used to run, say) only shows against a pin.
+    assert_eq!(format!("{:016x}", out.digest()), "5797c154b376cf99");
 
     // Duplicate coordinates fold by key: at least one whole cell's worth
     // of points were duplicates of another cell's.
@@ -89,10 +94,17 @@ fn mini_campaign_produces_a_consistent_streamed_frontier() {
         "campaign_end digest must match the outcome"
     );
 
-    // The durable manifest refolds to the same frontier.
-    let manifest = Manifest::load(&spec.manifest_path()).expect("manifest readable");
-    assert_eq!(manifest.refold().digest(), out.digest());
-    assert!(manifest.cells.iter().all(|c| c.status == CellStatus::Done));
+    // The fleet ledger is the durable record: the two duplicate cells are
+    // one job, and every job finished with one point per epoch.
+    let (_, ledger, torn) = LedgerStore::open(&root.join("ledger")).expect("ledger readable");
+    assert_eq!(torn, 0);
+    assert_eq!(ledger.jobs.len(), 2, "{:?}", ledger.jobs.keys());
+    for (id, rec) in &ledger.jobs {
+        match &rec.status {
+            JobStatus::Done(result) => assert_eq!(result.trajectory.len(), spec.epochs, "{id}"),
+            other => panic!("job {id} is {other:?}"),
+        }
+    }
 
     let _cleanup = std::fs::remove_dir_all(&root);
 }

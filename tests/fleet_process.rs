@@ -18,12 +18,17 @@ fn tmp_dir(name: &str) -> PathBuf {
 
 const DEADLINE: Duration = Duration::from_secs(120);
 
-/// The uninterrupted digest for a spec, computed outside any fleet.
-fn straight_digest(spec: &JobSpec, name: &str) -> u64 {
+/// The uninterrupted result of a spec, computed outside any fleet.
+fn straight(spec: &JobSpec, name: &str) -> JobResult {
     let dir = tmp_dir(name);
     let outcome = run_job(spec, &dir, false, &mut |_| {});
     let _cleanup = std::fs::remove_dir_all(&dir);
-    outcome.digest
+    outcome
+}
+
+/// The uninterrupted digest for a spec, computed outside any fleet.
+fn straight_digest(spec: &JobSpec, name: &str) -> u64 {
+    straight(spec, name).digest
 }
 
 /// Options for a fleet whose attempts run as `dance_fleet --worker` children.
@@ -47,11 +52,22 @@ fn generations(ledger_dir: &Path) -> u64 {
 #[test]
 fn killed_children_are_reclaimed_at_eof_without_heartbeat_writes() {
     let dir = tmp_dir("kill");
-    let specs = [JobSpec::new(4, 16, 141, 0.1), JobSpec::new(4, 16, 142, 0.1)];
-    let want: Vec<u64> = specs
+    // The third job is shaped like a campaign cell, so its two extra spec
+    // fields must survive `--spec` for its result to match.
+    let cell = JobSpec {
+        data_seed: 3,
+        warmup: 2,
+        ..JobSpec::new(4, 16, 143, 0.3)
+    };
+    let specs = [
+        JobSpec::new(4, 16, 141, 0.1),
+        JobSpec::new(4, 16, 142, 0.1),
+        cell,
+    ];
+    let want: Vec<JobResult> = specs
         .iter()
         .enumerate()
-        .map(|(i, s)| straight_digest(s, &format!("kill_ref{i}")))
+        .map(|(i, s)| straight(s, &format!("kill_ref{i}")))
         .collect();
 
     // Each first attempt exits right after epoch 1's heartbeat. The default
@@ -69,12 +85,15 @@ fn killed_children_are_reclaimed_at_eof_without_heartbeat_writes() {
     for (id, want) in ids.iter().zip(&want) {
         let view = fleet.status(id).expect("status");
         assert_eq!(view.state, "done", "job {id}: {:?}", view.error);
-        assert_eq!(view.digest(), Some(*want), "job {id} digest diverged");
+        assert_eq!(view.digest(), Some(want.digest), "job {id} digest diverged");
     }
+    let result = fleet.status(&ids[2]).expect("status").result.expect("done");
+    assert_eq!(result.choices, want[2].choices);
+    assert_eq!(result.trajectory, want[2].trajectory);
     let counts = fleet.counts();
     fleet.shutdown();
     assert_eq!(
-        counts.reclaims, 2,
+        counts.reclaims, 3,
         "one EOF reclaim per killed child: {counts:?}"
     );
     assert_eq!(counts.fenced, 0);

@@ -4,8 +4,8 @@
 //! reclaimed) exactly as the lease state machine promises.
 //!
 //! Here each attempt runs on its worker thread and chaos is scripted per
-//! attempt. The stall and slow-peer drills run on a manual clock that they
-//! move at the event they mean, so their counts are exact on any host.
+//! attempt. Every drill runs on a manual clock that it moves at the event
+//! it means, so its counts are exact on any host.
 //! `tests/fleet_process.rs` drives the same supervisor over the
 //! child-process transport, where a kill is a real process exit and the
 //! sweep SIGKILLs a wedged child; `scripts/check.sh` adds the SIGKILL drill
@@ -26,19 +26,6 @@ const DEADLINE: Duration = Duration::from_secs(120);
 /// Lease TTL of the manual-clock drills, in manual milliseconds.
 const TTL: u64 = 1_000;
 
-/// Options for a two-worker fleet that kills each job's first attempt
-/// after epoch 1, on 300 ms leases so the reclaims come fast.
-fn kill_opts(dir: &Path) -> FleetOpts {
-    let chaos = AttemptChaos {
-        kill_after: Some(1),
-        stall_from: None,
-    };
-    FleetOpts::new(dir.to_path_buf())
-        .with_workers(2)
-        .with_lease_ttl_ms(300)
-        .with_chaos(chaos)
-}
-
 /// Options for a fleet on `clock`, which only the drill moves.
 fn manual_opts(dir: &Path, workers: usize, chaos: AttemptChaos, clock: &ManualClock) -> FleetOpts {
     let mut opts = FleetOpts::new(dir.to_path_buf())
@@ -49,12 +36,58 @@ fn manual_opts(dir: &Path, workers: usize, chaos: AttemptChaos, clock: &ManualCl
     opts
 }
 
-/// The uninterrupted digest for a spec, computed outside any fleet.
-fn straight_digest(spec: &JobSpec, name: &str) -> u64 {
+/// The uninterrupted result of a spec, computed outside any fleet.
+fn straight(spec: &JobSpec, name: &str) -> JobResult {
     let dir = tmp_dir(name);
     let outcome = run_job(spec, &dir, false, &mut |_| {});
     let _cleanup = std::fs::remove_dir_all(&dir);
-    outcome.digest
+    outcome
+}
+
+/// The uninterrupted digest for a spec, computed outside any fleet.
+fn straight_digest(spec: &JobSpec, name: &str) -> u64 {
+    straight(spec, name).digest
+}
+
+/// A job shaped like a campaign cell: its own dataset seed and a λ₂ ramp
+/// over half its epochs.
+fn cell_spec(seed: u64) -> JobSpec {
+    JobSpec {
+        data_seed: 3,
+        warmup: 2,
+        ..JobSpec::new(4, 16, seed, 0.3)
+    }
+}
+
+/// Kills each job's first attempt after epoch 1 on a fleet whose clock
+/// never moves, waits until every first attempt has vanished holding its
+/// lease, then moves the clock past the TTL once, so each lease is
+/// reclaimed exactly once.
+fn kill_every_first_attempt(dir: &Path, specs: &[JobSpec]) -> (Fleet, Vec<String>) {
+    let clock = ManualClock::new();
+    let chaos = AttemptChaos {
+        kill_after: Some(1),
+        stall_from: None,
+    };
+    let fleet = Fleet::start(manual_opts(dir, 2, chaos, &clock)).expect("fleet starts");
+    let ids: Vec<String> = specs
+        .iter()
+        .map(|s| fleet.submit(*s).expect("submit").0)
+        .collect();
+    let vanished = |c: &FleetCounts| {
+        c.pending == 0 && c.leased == specs.len() && c.workers.values().all(|w| w.state == "idle")
+    };
+    assert!(fleet.wait_for(DEADLINE, vanished), "{:?}", fleet.counts());
+    clock.advance(TTL);
+    assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
+    let counts = fleet.counts();
+    assert_eq!(counts.reclaims, specs.len() as u64, "{counts:?}");
+    assert_eq!(counts.recoveries_ms.len(), specs.len(), "{counts:?}");
+    assert_eq!(counts.fenced, 0, "{counts:?}");
+    for id in &ids {
+        assert_eq!(fleet.status(id).expect("status").attempt, 2, "job {id}");
+    }
+    (fleet, ids)
 }
 
 #[test]
@@ -64,35 +97,26 @@ fn killing_every_first_attempt_still_lands_every_digest() {
         JobSpec::new(4, 16, 71, 0.1),
         JobSpec::new(3, 16, 72, 0.05),
         JobSpec::new(4, 16, 73, 0.2),
+        cell_spec(74),
     ];
-    let want: Vec<u64> = specs
+    let want: Vec<JobResult> = specs
         .iter()
         .enumerate()
-        .map(|(i, s)| straight_digest(s, &format!("kill_all_ref{i}")))
+        .map(|(i, s)| straight(s, &format!("kill_all_ref{i}")))
         .collect();
 
-    let fleet = Fleet::start(kill_opts(&dir)).expect("fleet starts");
-    let ids: Vec<String> = specs
-        .iter()
-        .map(|s| fleet.submit(*s).expect("submit").0)
-        .collect();
-    assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
-
-    for (i, id) in ids.iter().enumerate() {
+    let (fleet, ids) = kill_every_first_attempt(&dir, &specs);
+    for (id, want) in ids.iter().zip(&want) {
         let view = fleet.status(id).expect("status");
         assert_eq!(view.state, "done", "job {id}: {:?}", view.error);
-        assert_eq!(view.digest(), Some(want[i]), "job {id} digest diverged");
-        assert!(view.attempt >= 2, "job {id} was never re-dispatched");
+        assert_eq!(view.digest(), Some(want.digest), "job {id} digest diverged");
     }
-    let counts = fleet.counts();
-    assert!(
-        counts.reclaims >= specs.len() as u64,
-        "every killed attempt reclaims: {counts:?}"
-    );
-    assert!(
-        counts.recoveries_ms.len() >= specs.len(),
-        "every reclaim lands in the recovery histogram"
-    );
+    // The cell-shaped job's whole result survives the handoff: digest,
+    // derived architecture and every epoch's recorded point.
+    let cell = fleet.status(&ids[3]).expect("status").result.expect("done");
+    assert_eq!(cell.choices, want[3].choices);
+    assert_eq!(cell.trajectory, want[3].trajectory);
+    assert_eq!(cell.trajectory.len(), 4);
     fleet.shutdown();
     let _cleanup = std::fs::remove_dir_all(&dir);
 }
@@ -176,16 +200,14 @@ fn restart_after_chaos_recovers_the_finished_fleet_from_the_ledger() {
     let dir = tmp_dir("restart");
     let spec = JobSpec::new(4, 16, 101, 0.1);
     let (id, digest) = {
-        let fleet = Fleet::start(kill_opts(&dir)).expect("fleet starts");
-        let (id, _) = fleet.submit(spec).expect("submit");
-        assert!(fleet.wait_settled(DEADLINE), "fleet must settle");
+        let (fleet, ids) = kill_every_first_attempt(&dir, &[spec]);
         let digest = fleet
-            .status(&id)
+            .status(&ids[0])
             .expect("status")
             .digest()
             .expect("done job has a digest");
         fleet.shutdown();
-        (id, digest)
+        (ids[0].clone(), digest)
     };
 
     // A fresh incarnation over the same directory replays the ledger: the
