@@ -4,8 +4,7 @@
 //! exit with one diagnostic per rule.
 //!
 //! Expected findings in this file: `no-unwrap`, `expect-message`,
-//! `float-eq`, `must-use`, `span-guard`, `checkpoint-io`, `lock-unwrap`,
-//! `raw-spawn`.
+//! `float-eq`, `span-guard`, `checkpoint-io`, `lock-unwrap`, `raw-spawn`.
 
 /// Violates `no-unwrap`: library code must propagate or justify the error.
 pub fn seeded_unwrap(values: &[f32]) -> f32 {
@@ -20,11 +19,6 @@ pub fn seeded_short_expect(values: &[f32]) -> f32 {
 /// Violates `float-eq`: exact equality against a float literal.
 pub fn seeded_float_eq(x: f32) -> bool {
     x == 0.5
-}
-
-/// Violates `must-use`: a `pub fn` returning `Var` without `#[must_use]`.
-pub fn seeded_missing_must_use() -> Var {
-    Var
 }
 
 /// Violates `span-guard`: binding a span guard to `_` drops it instantly.
@@ -49,9 +43,6 @@ pub fn seeded_lock_unwrap(counter: &std::sync::Mutex<u64>) -> u64 {
 pub fn seeded_raw_spawn() {
     std::thread::spawn(|| {}).join().ok();
 }
-
-/// Stand-in so the fixture is a self-contained parse target.
-pub struct Var;
 
 /// Stand-in span macro so the fixture parses without `dance-telemetry`.
 #[macro_export]

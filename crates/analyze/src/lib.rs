@@ -16,9 +16,9 @@
 //!
 //! 2. **Source linting** ([`source`]): a hand-rolled, dependency-free line
 //!    lexer over `crates/` enforcing workspace conventions — no `unwrap()`
-//!    in non-test library code, no float `==` comparisons, `panic!` in the
-//!    `dance-cost`/`dance-autograd` hot paths requires a `# Panics` doc
-//!    section, and public functions returning `Var` must be `#[must_use]`.
+//!    in non-test library code, no float `==` comparisons, and `panic!` in
+//!    the `dance-cost`/`dance-autograd` hot paths requires a `# Panics` doc
+//!    section.
 //!    Diagnostics are machine-readable (`file:line rule message`) and the
 //!    CLI exits non-zero for CI.
 //!

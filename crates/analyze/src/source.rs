@@ -14,7 +14,6 @@
 //! | `expect-message` | all library code          | `.expect("…")` needs a ≥ 5-char reason        |
 //! | `float-eq`    | all library code             | `==`/`!=` against a float literal             |
 //! | `panic-doc`   | `crates/cost`, `crates/autograd` | `panic!` needs `# Panics` on the enclosing fn |
-//! | `must-use`    | all library code             | `pub fn … -> Var` must be `#[must_use]`       |
 //! | `span-guard`  | all library code             | `let _ = span!(…)` drops the guard instantly  |
 //! | `checkpoint-io` | all library code (minus the atomic helpers) | direct `File::create`/`fs::write` of a `.json`/`.bin`/`.ckpt` artifact |
 //! | `lock-unwrap` | all library code             | `.lock().unwrap()` panics on poison; recover or document |
@@ -70,27 +69,6 @@ fn is_float_literal(tok: &str) -> bool {
     (mantissa_dot || exponent || tok.ends_with("f32") || tok.ends_with("f64"))
         && t.chars()
             .all(|c| c.is_ascii_digit() || "._eE+-".contains(c))
-}
-
-/// Walks upward from `idx` over contiguous attribute/doc lines, returning
-/// `true` if any attribute line contains `needle`.
-fn preceding_attrs_contain(lines: &[LexedLine], idx: usize, needle: &str) -> bool {
-    let mut i = idx;
-    while i > 0 {
-        i -= 1;
-        let code = lines[i].code.trim();
-        if lines[i].is_doc || code.is_empty() && !lines[i].comment.is_empty() {
-            continue;
-        }
-        if code.starts_with("#[") {
-            if lines[i].code.contains(needle) {
-                return true;
-            }
-            continue;
-        }
-        break;
-    }
-    false
 }
 
 /// Whether the doc comment block attached to the `fn` enclosing line `idx`
@@ -522,45 +500,6 @@ pub fn lint_file(path: &str, content: &str) -> Vec<SourceDiagnostic> {
                 );
             }
         }
-
-        // --- must-use -----------------------------------------------------
-        if let Some(col) = code.find("pub fn ") {
-            // Join the (possibly multi-line) signature up to its body/semi.
-            let mut sig = code[col..].to_string();
-            let mut look = idx;
-            while !sig.contains('{')
-                && !sig.contains(';')
-                && look + 1 < lines.len()
-                && look < idx + 8
-            {
-                look += 1;
-                sig.push(' ');
-                sig.push_str(lines[look].code.trim());
-            }
-            let returns_var = sig
-                .split("->")
-                .nth(1)
-                .map(|ret| {
-                    let ret = ret.trim_start();
-                    ret == "Var"
-                        || ret.starts_with("Var ")
-                        || ret.starts_with("Var{")
-                        || ret.starts_with("Var ")
-                })
-                .unwrap_or(false);
-            if returns_var
-                && !preceding_attrs_contain(&lines, idx, "must_use")
-                && !is_allowed(&lines, idx, "must-use")
-            {
-                emit(
-                    idx,
-                    "must-use",
-                    "public function returns a freshly built `Var` graph node; mark it \
-                     `#[must_use]` so dropped results are caught"
-                        .to_string(),
-                );
-            }
-        }
     }
 
     diags
@@ -686,24 +625,6 @@ mod tests {
     fn panic_with_doc_section_passes() {
         let src = "/// Does things.\n///\n/// # Panics\n///\n/// Panics if `x > 3`.\npub fn f(x: usize) {\n    if x > 3 { panic!(\"x too large\"); }\n}\n";
         assert!(rules_hit("crates/autograd/src/ops.rs", src).is_empty());
-    }
-
-    #[test]
-    fn pub_fn_returning_var_needs_must_use() {
-        let bad = "pub fn relu(x: &Var) -> Var {\n    x.clone()\n}\n";
-        let good = "#[must_use]\npub fn relu(x: &Var) -> Var {\n    x.clone()\n}\n";
-        let doc_between = "#[must_use]\n/// docs\npub fn relu(x: &Var) -> Var { x.clone() }\n";
-        let other_ret = "pub fn shapes(x: &Var) -> Vec<Var> {\n    vec![x.clone()]\n}\n";
-        assert_eq!(rules_hit("a.rs", bad), vec!["must-use"]);
-        assert!(rules_hit("a.rs", good).is_empty());
-        assert!(rules_hit("a.rs", doc_between).is_empty());
-        assert!(rules_hit("a.rs", other_ret).is_empty());
-    }
-
-    #[test]
-    fn multi_line_signature_returning_var_is_caught() {
-        let src = "pub fn weighted(\n    ops: &[&Var],\n    weights: &Var,\n) -> Var {\n    weights.clone()\n}\n";
-        assert_eq!(rules_hit("a.rs", src), vec!["must-use"]);
     }
 
     #[test]

@@ -11,11 +11,6 @@ use dance_autograd::tensor::Tensor;
 use dance_autograd::testing::numeric_grad;
 use dance_autograd::var::Var;
 
-/// Ops whose gradient is a deliberate estimator rather than the true
-/// derivative, so finite differences cannot validate it:
-/// `straight_through_onehot` backpropagates identity through an argmax.
-const FD_EXEMPT: &[&str] = &["straight_through_onehot"];
-
 fn t(data: Vec<f32>, shape: &[usize]) -> Tensor {
     Tensor::from_vec(data, shape)
 }
@@ -213,13 +208,13 @@ fn weighted_unary(values: Vec<f32>, f: impl Fn(&Var) -> Var + 'static, shape: &[
     (vec![x], Box::new(move || f(&xc).mul(&w).sum()))
 }
 
-/// Every differentiable registry entry either has a finite-difference probe
-/// that passes, or is on the documented straight-through exemption list.
+/// Every differentiable registry entry has a finite-difference probe that
+/// passes.
 #[test]
 fn registry_gradients_match_finite_differences() {
     let mut checked = 0usize;
     for spec in REGISTRY {
-        if !spec.differentiable || FD_EXEMPT.contains(&spec.name) {
+        if !spec.differentiable {
             continue;
         }
         let (params, build) = probe(spec.name)
@@ -229,17 +224,4 @@ fn registry_gradients_match_finite_differences() {
         checked += 1;
     }
     assert!(checked >= 25, "only {checked} ops were gradient-checked");
-}
-
-/// The exemption list must stay in sync with the registry: every exempt name
-/// exists and is marked differentiable (the straight-through estimator).
-#[test]
-fn fd_exemptions_are_registered_ops() {
-    for name in FD_EXEMPT {
-        let spec = REGISTRY
-            .iter()
-            .find(|s| s.name == *name)
-            .unwrap_or_else(|| panic!("exempt op `{name}` is not in the registry"));
-        assert!(spec.differentiable);
-    }
 }

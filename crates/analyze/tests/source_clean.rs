@@ -37,7 +37,6 @@ fn fixture_trips_every_rule() {
         "expect-message",
         "float-eq",
         "panic-doc",
-        "must-use",
         "span-guard",
         "checkpoint-io",
         "lock-unwrap",

@@ -32,7 +32,6 @@ pub fn gumbel_noise(shape: &[usize], rng: &mut StdRng) -> Tensor {
 /// # Panics
 ///
 /// Panics if `logits` is not 2-D or `tau` is not positive.
-#[must_use]
 pub fn gumbel_softmax(logits: &Var, tau: f32, rng: &mut StdRng) -> Var {
     assert!(
         tau > 0.0,
@@ -50,39 +49,9 @@ pub fn gumbel_softmax(logits: &Var, tau: f32, rng: &mut StdRng) -> Var {
 /// # Panics
 ///
 /// Panics if `logits` is not 2-D or `tau` is not positive.
-#[must_use]
 pub fn softmax_with_temperature(logits: &Var, tau: f32) -> Var {
     assert!(tau > 0.0, "temperature must be positive, got {tau}");
     logits.scale(1.0 / tau).softmax_rows()
-}
-
-/// Straight-through estimator: the forward value is the row-wise one-hot
-/// argmax of `soft`, while the backward pass treats the op as identity, so
-/// gradients flow as if the soft value had been used.
-///
-/// # Panics
-///
-/// Panics if `soft` is not 2-D.
-#[must_use]
-pub fn straight_through_onehot(soft: &Var) -> Var {
-    let soft_val = soft.value();
-    assert_eq!(
-        soft_val.ndim(),
-        2,
-        "straight_through_onehot shape {:?}",
-        soft_val.shape()
-    );
-    let (m, n) = (soft_val.shape()[0], soft_val.shape()[1]);
-    let mut hard = Tensor::zeros(&[m, n]);
-    for (i, j) in soft_val.argmax_rows().into_iter().enumerate() {
-        hard.data_mut()[i * n + j] = 1.0;
-    }
-    Var::from_op(
-        "straight_through_onehot",
-        hard,
-        vec![soft.clone()],
-        Box::new(|g, parents| parents[0].accumulate_grad(g)),
-    )
 }
 
 #[cfg(test)]
@@ -131,17 +100,6 @@ mod tests {
         }
         // P(class 0) = e²/(e²+2) ≈ 0.787
         assert!(counts[0] > 1_400, "counts {counts:?}");
-    }
-
-    #[test]
-    fn straight_through_forward_is_one_hot_backward_is_identity() {
-        let logits = Var::parameter(Tensor::from_vec(vec![0.1, 0.7, 0.2], &[1, 3]));
-        let soft = logits.softmax_rows();
-        let hard = straight_through_onehot(&soft);
-        assert_eq!(hard.value().data(), &[0.0, 1.0, 0.0]);
-        hard.sqr().sum().backward();
-        // Gradient reached the logits through the soft path.
-        assert!(logits.grad().is_some());
     }
 
     #[test]

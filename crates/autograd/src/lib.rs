@@ -39,7 +39,7 @@ pub mod var;
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
-    pub use crate::gumbel::{gumbel_softmax, softmax_with_temperature, straight_through_onehot};
+    pub use crate::gumbel::{gumbel_softmax, softmax_with_temperature};
     pub use crate::loss::{accuracy, cross_entropy, l2_penalty, mse, msre};
     pub use crate::nn::{BatchNorm1d, Linear, Mlp, Module};
     pub use crate::optim::{clip_grad_norm, Adam, CosineLr, Optimizer, Sgd, StepLr};

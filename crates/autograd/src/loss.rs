@@ -17,7 +17,6 @@ use crate::var::Var;
 /// # Panics
 ///
 /// Panics on shape mismatches or a target index out of range.
-#[must_use]
 pub fn cross_entropy(logits: &Var, targets: &[usize], label_smoothing: f32) -> Var {
     let logit_val = logits.value();
     assert_eq!(
@@ -82,7 +81,6 @@ pub fn cross_entropy(logits: &Var, targets: &[usize], label_smoothing: f32) -> V
 /// # Panics
 ///
 /// Panics if shapes differ.
-#[must_use]
 pub fn mse(pred: &Var, target: &Tensor) -> Var {
     let t = Var::constant(target.clone());
     pred.sub(&t).sqr().mean()
@@ -96,7 +94,6 @@ pub fn mse(pred: &Var, target: &Tensor) -> Var {
 /// # Panics
 ///
 /// Panics if shapes differ.
-#[must_use]
 pub fn msre(pred: &Var, target: &Tensor) -> Var {
     let inv = Var::constant(target.unary_op(dance_backend::UnaryOp::RecipSignedClamped(1e-9)));
     let ones = Var::constant(Tensor::ones(target.shape()));
@@ -119,7 +116,6 @@ pub fn accuracy(logits: &Tensor, targets: &[usize]) -> f32 {
 }
 
 /// Sum of squared parameter norms — the `‖w‖` weight-decay term of Eq. 1.
-#[must_use]
 pub fn l2_penalty(params: &[Var]) -> Var {
     let mut acc: Option<Var> = None;
     for p in params {

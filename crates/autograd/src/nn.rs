@@ -246,7 +246,6 @@ impl BatchNorm1d {
 /// # Panics
 ///
 /// Panics if `x` is not 2-D or `row` length differs from the columns.
-#[must_use]
 pub fn mul_row_broadcast(x: &Var, row: &Var) -> Var {
     let x_val = x.value();
     let r_val = row.value();

@@ -16,7 +16,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    #[must_use]
     pub fn add(&self, other: &Var) -> Var {
         let value = self.with_value(|a| other.with_value(|b| a.add(b)));
         Var::from_op(
@@ -35,7 +34,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    #[must_use]
     pub fn sub(&self, other: &Var) -> Var {
         let value = self.with_value(|a| other.with_value(|b| a.sub(b)));
         Var::from_op(
@@ -54,7 +52,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    #[must_use]
     pub fn mul(&self, other: &Var) -> Var {
         let a_val = self.value();
         let b_val = other.value();
@@ -79,7 +76,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if shapes differ.
-    #[must_use]
     pub fn div(&self, other: &Var) -> Var {
         let a_val = self.value();
         let b_val = other.value();
@@ -99,7 +95,6 @@ impl Var {
     }
 
     /// Multiplies every element by the scalar `c`.
-    #[must_use]
     pub fn scale(&self, c: f32) -> Var {
         let value = self.with_value(|a| a.scale(c));
         Var::from_op_attrs(
@@ -112,7 +107,6 @@ impl Var {
     }
 
     /// Adds the scalar `c` to every element.
-    #[must_use]
     pub fn add_scalar(&self, c: f32) -> Var {
         let value = self.with_value(|a| a.unary_op(UnaryOp::AddScalar(c)));
         Var::from_op_attrs(
@@ -125,7 +119,6 @@ impl Var {
     }
 
     /// Negation.
-    #[must_use]
     pub fn neg(&self) -> Var {
         self.scale(-1.0)
     }
@@ -135,7 +128,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if `self` is not 2-D or `bias` length differs from the columns.
-    #[must_use]
     pub fn add_row_broadcast(&self, bias: &Var) -> Var {
         let value = self.with_value(|x| {
             bias.with_value(|b| {
@@ -170,7 +162,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if either operand is not 2-D or inner dimensions disagree.
-    #[must_use]
     pub fn matmul(&self, other: &Var) -> Var {
         let a_val = self.value();
         let b_val = other.value();
@@ -189,7 +180,6 @@ impl Var {
     }
 
     /// Rectified linear unit, `max(x, 0)`.
-    #[must_use]
     pub fn relu(&self) -> Var {
         let x_val = self.value();
         let value = x_val.unary_op(UnaryOp::Relu);
@@ -206,7 +196,6 @@ impl Var {
     }
 
     /// Logistic sigmoid.
-    #[must_use]
     pub fn sigmoid(&self) -> Var {
         let value = self.with_value(|a| a.unary_op(UnaryOp::Sigmoid));
         let y_val = value.clone();
@@ -222,7 +211,6 @@ impl Var {
     }
 
     /// Hyperbolic tangent.
-    #[must_use]
     pub fn tanh(&self) -> Var {
         let value = self.with_value(|a| a.unary_op(UnaryOp::Tanh));
         let y_val = value.clone();
@@ -238,7 +226,6 @@ impl Var {
     }
 
     /// Element-wise exponential.
-    #[must_use]
     pub fn exp(&self) -> Var {
         let value = self.with_value(|a| a.unary_op(UnaryOp::Exp));
         let y_val = value.clone();
@@ -251,7 +238,6 @@ impl Var {
     }
 
     /// Element-wise natural logarithm (inputs clamped to `1e-12` for safety).
-    #[must_use]
     pub fn ln(&self) -> Var {
         let x_val = self.value();
         let value = x_val.unary_op(UnaryOp::LnClamped);
@@ -267,13 +253,11 @@ impl Var {
     }
 
     /// Element-wise square.
-    #[must_use]
     pub fn sqr(&self) -> Var {
         self.mul(self)
     }
 
     /// Sum of all elements, as a `[1]` scalar.
-    #[must_use]
     pub fn sum(&self) -> Var {
         let shape = self.shape();
         let value = Tensor::scalar(self.with_value(Tensor::sum));
@@ -288,7 +272,6 @@ impl Var {
     }
 
     /// Mean of all elements, as a `[1]` scalar.
-    #[must_use]
     pub fn mean(&self) -> Var {
         let n = self.with_value(Tensor::numel).max(1);
         self.sum().scale(1.0 / n as f32)
@@ -299,7 +282,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if the value is not 2-D.
-    #[must_use]
     pub fn softmax_rows(&self) -> Var {
         let value = self.with_value(Tensor::softmax_rows);
         let y_val = value.clone();
@@ -329,7 +311,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if the value is not 2-D.
-    #[must_use]
     pub fn log_softmax_rows(&self) -> Var {
         let soft = self.with_value(Tensor::softmax_rows);
         let value = soft.unary_op(UnaryOp::LnFloor(1e-20));
@@ -358,7 +339,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if `parts` is empty or row counts differ.
-    #[must_use]
     pub fn concat_cols(parts: &[&Var]) -> Var {
         assert!(!parts.is_empty(), "concat_cols of zero variables");
         let values: Vec<Tensor> = parts.iter().map(|p| p.value()).collect();
@@ -385,7 +365,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if the range exceeds the column count.
-    #[must_use]
     pub fn slice_cols(&self, start: usize, len: usize) -> Var {
         let full_shape = self.shape();
         let value = self.with_value(|v| v.slice_cols(start, len));
@@ -417,7 +396,6 @@ impl Var {
     ///
     /// Panics if `ops` is empty, shapes differ, or `weights` has the wrong
     /// length.
-    #[must_use]
     pub fn weighted_sum(ops: &[&Var], weights: &Var) -> Var {
         assert!(!ops.is_empty(), "weighted_sum of zero operands");
         let w_val = weights.value();
@@ -463,7 +441,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics on rank or channel mismatches, or even kernel widths.
-    #[must_use]
     pub fn dw_conv1d(&self, weight: &Var) -> Var {
         let x_val = self.value();
         let w_val = weight.value();
@@ -515,7 +492,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics on rank or channel mismatches, or even kernel widths.
-    #[must_use]
     pub fn dw_conv1d_relu(&self, weight: &Var) -> Var {
         let x_val = self.value();
         let w_val = weight.value();
@@ -571,7 +547,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics on non-2-D inputs or mismatched dimensions.
-    #[must_use]
     pub fn linear(&self, weight: &Var, bias: &Var, relu: bool) -> Var {
         let x_val = self.value();
         let w_val = weight.value();
@@ -603,7 +578,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if the value is not 3-D.
-    #[must_use]
     pub fn global_avg_pool1d(&self) -> Var {
         let x_shape = self.shape();
         assert_eq!(
@@ -646,7 +620,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if the value is not 3-D.
-    #[must_use]
     pub fn to_channels_last(&self) -> Var {
         let shape = self.shape();
         assert_eq!(shape.len(), 3, "to_channels_last input shape {shape:?}");
@@ -674,7 +647,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if the value is not 2-D or rows don't factor as `batch · length`.
-    #[must_use]
     pub fn from_channels_last(&self, batch: usize, length: usize) -> Var {
         let shape = self.shape();
         assert_eq!(shape.len(), 2, "from_channels_last input shape {shape:?}");
@@ -711,7 +683,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if the value is not 3-D or `stride` is zero.
-    #[must_use]
     pub fn downsample1d(&self, stride: usize) -> Var {
         assert!(stride > 0, "downsample1d stride must be positive");
         if stride == 1 {
@@ -752,7 +723,6 @@ impl Var {
     /// # Panics
     ///
     /// Panics if the element count differs.
-    #[must_use]
     pub fn reshape(&self, shape: &[usize]) -> Var {
         let old_shape = self.shape();
         let value = self.with_value(|v| v.reshape(shape));

@@ -481,12 +481,6 @@ pub const REGISTRY: &[OpSpec] = &[
         differentiable: true,
         shape_rule: scalar_out,
     },
-    OpSpec {
-        name: "straight_through_onehot",
-        arity: Arity::Exact(1),
-        differentiable: true,
-        shape_rule: softmax_rule,
-    },
 ];
 
 /// Looks up the spec for an op name; `None` for unregistered ops (the graph

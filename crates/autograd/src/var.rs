@@ -78,7 +78,37 @@ pub(crate) struct Node {
 ///
 /// `Var` is a cheaply clonable handle (`Rc` internally); cloning shares the
 /// underlying node, which is how parameters participate in many graphs.
+///
+/// The type is `#[must_use]`, and the workspace denies `unused_must_use`,
+/// so a graph node that is built and then dropped fails to compile through
+/// every function that returns one, trait methods included:
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// use dance_autograd::prelude::*;
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+/// let layer = Linear::new(4, 2, &mut rng);
+/// let x = Var::constant(Tensor::ones(&[8, 4]));
+/// layer.forward(&x);
+/// ```
+///
+/// Binding the result builds:
+///
+/// ```
+/// #![deny(unused_must_use)]
+/// use dance_autograd::prelude::*;
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+/// let layer = Linear::new(4, 2, &mut rng);
+/// let x = Var::constant(Tensor::ones(&[8, 4]));
+/// let y = layer.forward(&x);
+/// assert_eq!(y.shape(), vec![8, 2]);
+/// ```
 #[derive(Clone)]
+#[must_use]
 pub struct Var {
     inner: Rc<RefCell<Node>>,
 }
@@ -176,7 +206,6 @@ impl Var {
     /// graphs (wrong arity, impossible shapes, unknown ops) to exercise the
     /// static graph linter; never use it to build real computations.
     #[doc(hidden)]
-    #[must_use]
     pub fn raw_for_testing(op: &'static str, value: Tensor, parents: Vec<Var>) -> Self {
         let requires_grad = parents.iter().any(Var::requires_grad);
         Self::from_node(Node {
@@ -299,7 +328,6 @@ impl Var {
     }
 
     /// Returns a constant copy of this variable, cutting the gradient path.
-    #[must_use]
     pub fn detach(&self) -> Var {
         Var::constant(self.value())
     }

@@ -12,7 +12,6 @@ use dance_cost::metrics::CostFunction;
 /// # Panics
 ///
 /// Panics if `metrics` is not `[1, 3]` or `reference` is not positive.
-#[must_use]
 pub fn cost_hw_var(metrics: &Var, cost_fn: &CostFunction, reference: f64) -> Var {
     assert_eq!(metrics.shape(), vec![1, 3], "metrics must be [1, 3]");
     assert!(reference > 0.0, "reference cost must be positive");

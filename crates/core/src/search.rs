@@ -24,11 +24,11 @@ use dance_cost::metrics::CostFunction;
 use dance_data::loader::{Batch, Batcher};
 use dance_data::tasks::TaskData;
 use dance_evaluator::evaluator::Evaluator;
-use dance_guard::checkpoint::{CheckpointConfig, CheckpointStore, Snapshot};
+use dance_guard::checkpoint::{CheckpointStore, Snapshot};
 use dance_guard::degrade::check_metrics;
 use dance_guard::fault::FaultPlan;
 use dance_guard::watchdog::Watchdog;
-use dance_guard::{GuardConfig, GuardReport};
+use dance_guard::{GuardConfig, GuardReport, MAX_ROLLBACKS, ROLLBACK_ARCH_LR_DECAY};
 use dance_nas::arch::ArchParams;
 use dance_nas::supernet::{ForwardMode, Supernet, SupernetConfig};
 
@@ -53,9 +53,6 @@ pub struct SearchConfig {
     pub lambda2: LambdaWarmup,
     /// RNG seed.
     pub seed: u64,
-    /// Let warning-severity graph-lint findings through; errors still refuse
-    /// to train. The `--allow-graph-warnings` CLI flag maps here.
-    pub allow_graph_warnings: bool,
 }
 
 impl Default for SearchConfig {
@@ -69,7 +66,6 @@ impl Default for SearchConfig {
             label_smoothing: 0.1,
             lambda2: LambdaWarmup::ramp(1.0, 4),
             seed: 0,
-            allow_graph_warnings: false,
         }
     }
 }
@@ -164,12 +160,6 @@ impl SearchConfigBuilder {
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    /// Lets warning-severity graph-lint findings through.
-    pub fn allow_graph_warnings(mut self, allow: bool) -> Self {
-        self.cfg.allow_graph_warnings = allow;
         self
     }
 
@@ -323,7 +313,7 @@ fn lint_search_loss(
     for (i, p) in arch.parameters().into_iter().enumerate() {
         named.push((format!("alpha[{i}]"), p));
     }
-    lint_graph(&loss, &named).enforce(cfg.allow_graph_warnings)
+    lint_graph(&loss, &named).enforce(false)
 }
 
 /// The hardware-cost penalty of the search: what the architecture step adds
@@ -357,9 +347,8 @@ pub enum Penalty<'a> {
 /// # Panics
 ///
 /// Panics if the supernet/arch slot counts disagree, the data does not
-/// match the supernet input shape, or the static graph linter rejects the
-/// probe loss graph (set [`SearchConfig::allow_graph_warnings`] to let
-/// warning-severity findings through; errors always refuse to train).
+/// match the supernet input shape, or the static graph linter reports any
+/// finding on the probe loss graph.
 pub fn dance_search(
     supernet: &Supernet,
     arch: &ArchParams,
@@ -583,10 +572,12 @@ pub fn dance_search_traced(
         .collect();
 
     // --- Resume -----------------------------------------------------------
-    if guard_on {
-        if let Some(dir) = &guard_cfg.resume_from {
-            let resume_store = CheckpointStore::new(CheckpointConfig::every_epoch(dir.clone()));
-            if let Some((ckpt_epoch, snap)) = resume_store.latest_good() {
+    let checkpoint = guard_cfg.checkpoint.as_ref().filter(|_| guard_on);
+    let store = checkpoint.map(|c| CheckpointStore::new(&c.dir));
+    if checkpoint.is_some_and(|c| c.resume) {
+        if let Some(store) = &store {
+            let dir = store.dir();
+            if let Some((ckpt_epoch, snap)) = store.latest_good() {
                 let restore = restore_training_state(
                     &snap,
                     supernet,
@@ -630,14 +621,6 @@ pub fn dance_search_traced(
         }
     }
 
-    let store = if guard_on {
-        guard_cfg
-            .checkpoint
-            .as_ref()
-            .map(|c| CheckpointStore::new(c.clone()))
-    } else {
-        None
-    };
     // In-memory last-good snapshot: the rollback target. Captured at every
     // healthy epoch boundary whether or not disk checkpointing is on.
     let mut last_good: Option<Snapshot> = guard_on.then(|| {
@@ -814,7 +797,7 @@ pub fn dance_search_traced(
                 .expect("guard enabled implies a last-good snapshot");
             restore_training_state(snap, supernet, arch, &mut w_opt, &mut a_opt, &mut watchdog)
                 .expect("in-memory snapshot always matches the live model");
-            if report.rollbacks >= guard_cfg.max_rollbacks {
+            if report.rollbacks >= MAX_ROLLBACKS {
                 dance_telemetry::runlog::emit_guard(
                     "giveup",
                     &format!("epoch {epoch} after {} rollbacks", report.rollbacks),
@@ -831,7 +814,7 @@ pub fn dance_search_traced(
             rng = StdRng::seed_from_u64(
                 cfg.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(report.rollbacks)),
             );
-            let decayed_lr = a_opt.lr() * guard_cfg.rollback_arch_lr_decay;
+            let decayed_lr = a_opt.lr() * ROLLBACK_ARCH_LR_DECAY;
             a_opt.set_lr(decayed_lr);
             dance_telemetry::counter!("guard.rollback");
             dance_telemetry::runlog::emit_guard(
@@ -877,23 +860,21 @@ pub fn dance_search_traced(
                 &history,
             );
             if let Some(store) = &store {
-                if store.due(epoch) {
-                    match store.save(epoch, &snap) {
-                        Ok(path) => {
-                            report.checkpoints_written += 1;
-                            dance_telemetry::counter!("guard.checkpoint.saved");
-                            if faults.is_some_and(|f| f.corrupt_checkpoint_at(epoch)) {
-                                if let Err(e) = FaultPlan::apply_corruption(&path) {
-                                    eprintln!(
-                                        "dance-guard: fault injection could not corrupt {}: {e}",
-                                        path.display()
-                                    );
-                                }
+                match store.save(epoch, &snap) {
+                    Ok(path) => {
+                        report.checkpoints_written += 1;
+                        dance_telemetry::counter!("guard.checkpoint.saved");
+                        if faults.is_some_and(|f| f.corrupt_checkpoint_at(epoch)) {
+                            if let Err(e) = FaultPlan::apply_corruption(&path) {
+                                eprintln!(
+                                    "dance-guard: fault injection could not corrupt {}: {e}",
+                                    path.display()
+                                );
                             }
                         }
-                        // Checkpoint I/O failure must never abort a search.
-                        Err(e) => eprintln!("dance-guard: checkpoint save failed: {e}"),
                     }
+                    // Checkpoint I/O failure must never abort a search.
+                    Err(e) => eprintln!("dance-guard: checkpoint save failed: {e}"),
                 }
             }
             last_good = Some(snap);
@@ -1109,7 +1090,6 @@ mod tests {
             .label_smoothing(0.2)
             .lambda2(LambdaWarmup::constant(0.5))
             .seed(9)
-            .allow_graph_warnings(true)
             .build()
             .expect("valid config");
         assert_eq!(cfg.epochs, 3);
@@ -1118,7 +1098,6 @@ mod tests {
         assert_eq!(cfg.lr_arch, 0.05); // lint: allow(float-eq) exact round-trip
         assert_eq!(cfg.lambda2, LambdaWarmup::constant(0.5));
         assert_eq!(cfg.seed, 9);
-        assert!(cfg.allow_graph_warnings);
     }
 
     #[test]

@@ -78,7 +78,6 @@ impl CostNet {
     /// The head predicts in log space and is exponentiated, so outputs are
     /// always positive and the multi-decade dynamic range of latency/energy
     /// (tiny all-Zero networks vs. heavy MB7x7_e6 ones) stays learnable.
-    #[must_use]
     pub fn forward_normalized(&self, input: &Var) -> Var {
         let mut h = self.input_bn.forward(&self.input.forward(input)).relu();
         for (lin, bn) in &self.hidden {
@@ -89,7 +88,6 @@ impl CostNet {
 
     /// Raw metric predictions `[batch, 3]` = `[latency_ms, energy_mj,
     /// area_mm2]`, de-normalized and differentiable.
-    #[must_use]
     pub fn forward(&self, input: &Var) -> Var {
         let scale = Var::constant(Tensor::from_vec(self.normalizer.to_vec(), &[3]));
         dance_autograd::nn::mul_row_broadcast(&self.forward_normalized(input), &scale)

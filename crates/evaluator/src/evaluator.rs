@@ -118,7 +118,6 @@ impl Evaluator {
     /// # Panics
     ///
     /// Panics if the encoding width is wrong.
-    #[must_use]
     pub fn predict_metrics(&self, arch: &Var, rng: &mut StdRng) -> Var {
         let _span = dance_telemetry::hot_span!("evaluator.predict_metrics");
         assert_eq!(
@@ -153,9 +152,9 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// Fails when head sampling is stochastic ([`HeadSampling::Gumbel`] or
-    /// [`HeadSampling::StraightThrough`]) — a plan must be deterministic —
-    /// or when the graph contains an op the freezer does not support.
+    /// Fails when head sampling is stochastic ([`HeadSampling::Gumbel`]) —
+    /// a plan must be deterministic — or when the graph contains an op the
+    /// freezer does not support.
     pub fn freeze_plan(
         &self,
         max_batch: usize,
@@ -267,7 +266,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let hwgen = HwGenNet::new(63, 16, &mut rng);
         let cost = CostNet::new(63, 16, &mut rng); // missing +42
-        let _ = Evaluator::with_feature_forwarding(hwgen, cost, 63, HeadSampling::StraightThrough);
+        let _ =
+            Evaluator::with_feature_forwarding(hwgen, cost, 63, HeadSampling::Gumbel { tau: 1.0 });
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 
 use dance_accel::config::AcceleratorConfig;
 use dance_accel::space::{HardwareSpace, DATAFLOW_CARDINALITY, PE_CARDINALITY, RF_CARDINALITY};
-use dance_autograd::gumbel::{gumbel_softmax, softmax_with_temperature, straight_through_onehot};
+use dance_autograd::gumbel::{gumbel_softmax, softmax_with_temperature};
 use dance_autograd::nn::{Linear, Module};
 use dance_autograd::var::Var;
 
@@ -37,8 +37,6 @@ pub enum HeadSampling {
         /// Softmax temperature.
         tau: f32,
     },
-    /// Hard one-hot with straight-through gradients.
-    StraightThrough,
 }
 
 /// The five-layer residual MLP with four classification heads.
@@ -90,7 +88,6 @@ impl HwGenNet {
 
     /// Forward pass producing the soft one-hot hardware encoding
     /// `[batch, 42]` (PE_X | PE_Y | RF | dataflow segments).
-    #[must_use]
     pub fn forward_encoded(&self, arch: &Var, sampling: HeadSampling, rng: &mut StdRng) -> Var {
         let logits = self.head_logits(arch);
         let parts: Vec<Var> = logits
@@ -98,7 +95,6 @@ impl HwGenNet {
             .map(|l| match sampling {
                 HeadSampling::Gumbel { tau } => gumbel_softmax(l, tau, rng),
                 HeadSampling::Softmax { tau } => softmax_with_temperature(l, tau),
-                HeadSampling::StraightThrough => straight_through_onehot(&l.softmax_rows()),
             })
             .collect();
         let refs: Vec<&Var> = parts.iter().collect();
@@ -158,7 +154,6 @@ mod tests {
         for sampling in [
             HeadSampling::Gumbel { tau: 1.0 },
             HeadSampling::Softmax { tau: 1.0 },
-            HeadSampling::StraightThrough,
         ] {
             let mut r2 = StdRng::seed_from_u64(9);
             let enc = n.forward_encoded(&x, sampling, &mut r2).value();

@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use dance::prelude::{LambdaWarmup, SearchConfig};
+use dance::prelude::{LambdaWarmup, SearchConfig, SlotChoice};
 use dance_guard::checkpoint::atomic_write_text;
 use dance_guard::GuardReport;
 use dance_telemetry::json::{self, push_escaped, push_num, Json};
@@ -341,11 +341,15 @@ impl JobResult {
         let guard = match j.get("guard") {
             None => GuardReport::default(),
             Some(g) => GuardReport {
-                watchdog_trips: get_num(g, "watchdog_trips")? as u32,
-                rollbacks: get_num(g, "rollbacks")? as u32,
+                watchdog_trips: get_num32(g, "watchdog_trips")?,
+                rollbacks: get_num32(g, "rollbacks")?,
                 cost_model_degraded: g.get("cost_model_degraded") == Some(&Json::Bool(true)),
-                resumed_from_epoch: get_num(g, "resumed_from_epoch").ok().map(|e| e as usize),
-                checkpoints_written: get_num(g, "checkpoints_written")? as u32,
+                resumed_from_epoch: g
+                    .get("resumed_from_epoch")
+                    .map(|_| get_num(g, "resumed_from_epoch"))
+                    .transpose()?
+                    .map(|e| e as usize),
+                checkpoints_written: get_num32(g, "checkpoints_written")?,
                 aborted_by_fault: false,
             },
         };
@@ -513,8 +517,8 @@ impl Ledger {
         let doc = json::parse(text)?;
         let version = doc
             .get("v")
-            .and_then(Json::as_f64)
-            .ok_or("missing version")? as u64;
+            .and_then(Json::as_u64)
+            .ok_or("missing/bad version")?;
         if version != LEDGER_VERSION {
             return Err(format!("unsupported ledger version {version}"));
         }
@@ -575,14 +579,24 @@ fn push_choices(out: &mut String, choices: &[u8]) {
     out.push(']');
 }
 
-/// Reads `j`'s `choices` array; a record without one has none.
+/// Reads `j`'s `choices` array, each entry a candidate index; a record
+/// without one has none.
 fn parse_choices(j: &Json) -> Result<Vec<u8>, String> {
-    let mut choices = Vec::new();
-    for c in j.get("choices").and_then(Json::as_arr).unwrap_or(&[]) {
-        let c = c.as_f64().filter(|c| (0.0..256.0).contains(c));
-        choices.push(c.ok_or("bad choices entry")? as u8);
-    }
-    Ok(choices)
+    let Some(choices) = j.get("choices") else {
+        return Ok(Vec::new());
+    };
+    let candidates = SlotChoice::CANDIDATES.len();
+    choices
+        .as_arr()
+        .ok_or("choices is not an array")?
+        .iter()
+        .map(|c| {
+            c.as_u64()
+                .filter(|&c| c < candidates as u64)
+                .map(|c| c as u8)
+                .ok_or_else(|| format!("choices entries must be integers in 0..{candidates}"))
+        })
+        .collect()
 }
 
 fn get_hex(j: &Json, key: &str) -> Result<u64, String> {
@@ -596,11 +610,15 @@ fn get_hex32(j: &Json, key: &str) -> Result<u32, String> {
     u32::try_from(get_hex(j, key)?).map_err(|_| format!("{key} out of range"))
 }
 
+/// Reads `j`'s field `key` as an integer in `0..=2^53`.
 fn get_num(j: &Json, key: &str) -> Result<u64, String> {
     j.get(key)
-        .and_then(Json::as_f64)
-        .map(|f| f as u64)
-        .ok_or_else(|| format!("missing/bad numeric field {key}"))
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("missing/bad integer field {key}"))
+}
+
+fn get_num32(j: &Json, key: &str) -> Result<u32, String> {
+    u32::try_from(get_num(j, key)?).map_err(|_| format!("{key} out of range"))
 }
 
 /// The on-disk generation store for a [`Ledger`].
@@ -857,6 +875,36 @@ mod tests {
             JobSpec::new(4, 16, 1 << 60, 0.3)
         );
         assert_eq!(l.jobs["fjob-695cb664dddcede7"].spec.seed, u64::MAX);
+    }
+
+    #[test]
+    fn fractional_negative_or_out_of_range_values_fail_naming_the_field() {
+        let text = concat!(
+            r#"{"v":1,"jobs":[{"id":"fjob-5df6a14915339fff","epochs":2,"batch":32,"#,
+            r#""seed":"0000000000000007","lambda2":"000000003dcccccd","#,
+            r#""attempt":2,"status":"done","digest":"68ad21587d07401d","ran":2,"#,
+            r#""choices":[5,6,4,2,6,6,2,1,2],"guard":{"watchdog_trips":0,"rollbacks":1,"#,
+            r#""cost_model_degraded":false,"checkpoints_written":2,"resumed_from_epoch":1}}]}"#,
+        );
+        assert!(
+            Ledger::parse(text).is_ok(),
+            "the unaltered generation parses"
+        );
+        for (from, to, field) in [
+            (r#""epochs":2,"#, r#""epochs":2.5,"#, "epochs"),
+            (r#""epochs":2,"#, r#""epochs":-1,"#, "epochs"),
+            (
+                r#""resumed_from_epoch":1"#,
+                r#""resumed_from_epoch":"1""#,
+                "resumed_from_epoch",
+            ),
+            (r#"2,1,2],"#, r#"2,1,7],"#, "choices"),
+        ] {
+            let bad = text.replacen(from, to, 1);
+            assert_ne!(bad, text);
+            let err = Ledger::parse(&bad).expect_err(to);
+            assert!(err.contains(field), "{to}: {err}");
+        }
     }
 
     #[test]

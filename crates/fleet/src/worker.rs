@@ -91,8 +91,10 @@ pub fn run_job(
         Penalty::None
     };
     let guard_cfg = GuardConfig {
-        checkpoint: Some(CheckpointConfig::every_epoch(ckpt_dir.to_path_buf())),
-        resume_from: resume.then(|| ckpt_dir.to_path_buf()),
+        checkpoint: Some(CheckpointConfig {
+            dir: ckpt_dir.to_path_buf(),
+            resume,
+        }),
         ..GuardConfig::default()
     };
     let mut trajectory = if resume {
@@ -144,7 +146,7 @@ pub fn run_job(
 /// point.
 fn resume_trajectory(dir: &Path) -> Vec<EpochPoint> {
     let points = load_trajectory(dir);
-    let store = CheckpointStore::new(CheckpointConfig::every_epoch(dir.to_path_buf()));
+    let store = CheckpointStore::new(dir);
     for (epoch, path) in store.list() {
         if epoch >= points.len() {
             std::fs::remove_file(&path)
@@ -399,6 +401,8 @@ mod tests {
         assert!(bad(&["--spec"]).contains("missing value"));
         assert!(bad(&["--spec", "x", "--ckpt", "/tmp/c"]).contains("bad --spec"));
         assert!(bad(&["--spec", r#"{"epochs":2}"#, "--ckpt", "/tmp/c"]).contains("bad --spec"));
+        let fractional = spec.replace(r#""epochs":2"#, r#""epochs":2.5"#);
+        assert!(bad(&["--spec", &fractional, "--ckpt", "/tmp/c"]).contains("epochs"));
         assert!(bad(&["--wat"]).contains("unknown worker flag"));
         assert!(bad(&["--epochs", "2"]).contains("unknown worker flag"));
         assert!(bad(&["--ckpt", "/tmp/c"]).contains("--spec is required"));

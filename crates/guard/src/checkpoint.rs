@@ -9,10 +9,10 @@
 //! hex-of-`f32`-bits lines carry them without loss.
 //!
 //! A [`CheckpointStore`] writes snapshots under `dir/epoch-NNNN.ckpt` with
-//! the same atomic temp-plus-rename the evaluator checkpoints use, prunes
-//! old files past `keep_last`, and on resume walks backwards from the
-//! newest file, skipping anything corrupt — a truncated checkpoint costs
-//! one epoch of progress, never the run.
+//! the same atomic temp-plus-rename the evaluator checkpoints use, keeps
+//! the newest [`CHECKPOINTS_KEPT`] files, and on resume walks backwards
+//! from the newest file, skipping anything corrupt — a truncated
+//! checkpoint costs one epoch of progress, never the run.
 //!
 //! The tensor text format is line-oriented, so a file truncated exactly at
 //! a record boundary still parses — just with its tail records silently
@@ -33,6 +33,9 @@ use rand::rngs::StdRng;
 
 /// Schema version stamped into every snapshot under the `guard.version` key.
 pub const SNAPSHOT_VERSION: u64 = 1;
+
+/// How many checkpoint files a store keeps; each save prunes older ones.
+pub const CHECKPOINTS_KEPT: usize = 3;
 
 /// Key of the integrity footer [`CheckpointStore::save`] appends as the
 /// final record of every checkpoint file.
@@ -261,58 +264,43 @@ impl Snapshot {
     }
 }
 
-/// Where and how often a guarded run snapshots to disk.
+/// Where a guarded run checkpoints (every epoch), and whether it resumes
+/// from there.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Directory for `epoch-NNNN.ckpt` files (created on first save).
     pub dir: PathBuf,
-    /// Snapshot cadence in epochs (1 = every epoch).
-    pub every_epochs: usize,
-    /// How many checkpoint files to retain; older ones are pruned.
-    pub keep_last: usize,
-}
-
-impl CheckpointConfig {
-    /// Checkpoint every epoch into `dir`, keeping the last three files.
-    pub fn every_epoch(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            every_epochs: 1,
-            keep_last: 3,
-        }
-    }
+    /// Resume from the latest readable checkpoint in `dir`. A missing
+    /// directory or all-corrupt contents fall back to a fresh start with a
+    /// warning, never an abort.
+    pub resume: bool,
 }
 
 /// On-disk checkpoint store for one run directory.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
-    cfg: CheckpointConfig,
+    dir: PathBuf,
 }
 
 impl CheckpointStore {
-    /// A store over `cfg.dir` (nothing touches the disk until a save).
-    pub fn new(cfg: CheckpointConfig) -> Self {
-        Self { cfg }
+    /// A store over `dir` (nothing touches the disk until a save).
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        Self { dir: dir.into() }
     }
 
-    /// The configured run directory.
+    /// The run directory.
     pub fn dir(&self) -> &Path {
-        &self.cfg.dir
-    }
-
-    /// Whether epoch `epoch` is on the snapshot cadence.
-    pub fn due(&self, epoch: usize) -> bool {
-        (epoch + 1) % self.cfg.every_epochs.max(1) == 0
+        &self.dir
     }
 
     /// The file path for an epoch's snapshot.
     pub fn path_for(&self, epoch: usize) -> PathBuf {
-        self.cfg.dir.join(format!("epoch-{epoch:04}.ckpt"))
+        self.dir.join(format!("epoch-{epoch:04}.ckpt"))
     }
 
     /// Atomically writes `snapshot` as the checkpoint for `epoch` — with a
     /// fresh `guard.end` integrity footer as the final record — then prunes
-    /// files beyond `keep_last`.
+    /// all but the newest [`CHECKPOINTS_KEPT`] files.
     ///
     /// # Errors
     ///
@@ -337,8 +325,8 @@ impl CheckpointStore {
         save_tensors(&path, &items)
             .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
         let files = self.list();
-        if files.len() > self.cfg.keep_last {
-            for (_, stale) in &files[..files.len() - self.cfg.keep_last] {
+        if files.len() > CHECKPOINTS_KEPT {
+            for (_, stale) in &files[..files.len() - CHECKPOINTS_KEPT] {
                 let _best_effort = fs::remove_file(stale);
             }
         }
@@ -347,7 +335,7 @@ impl CheckpointStore {
 
     /// All checkpoint files in the run directory, ascending by epoch.
     pub fn list(&self) -> Vec<(usize, PathBuf)> {
-        let Ok(entries) = fs::read_dir(&self.cfg.dir) else {
+        let Ok(entries) = fs::read_dir(&self.dir) else {
             return Vec::new();
         };
         let mut files: Vec<(usize, PathBuf)> = entries
@@ -477,7 +465,7 @@ mod tests {
         }
         let mut snap = Snapshot::new();
         snap.put_rng("meta.rng", &rng);
-        let store = CheckpointStore::new(CheckpointConfig::every_epoch(&dir));
+        let store = CheckpointStore::new(&dir);
         store.save(0, &snap).expect("save snapshot");
         let (_, loaded) = store.latest_good().expect("one good checkpoint");
         let mut restored = loaded.rng_at("meta.rng").expect("rng state present");
@@ -509,21 +497,17 @@ mod tests {
     }
 
     #[test]
-    fn store_prunes_to_keep_last_and_lists_ascending() {
+    fn store_prunes_to_the_newest_three_and_lists_ascending() {
         let dir = temp_dir("prune");
         let _fresh = fs::remove_dir_all(&dir);
-        let store = CheckpointStore::new(CheckpointConfig {
-            dir: dir.clone(),
-            every_epochs: 1,
-            keep_last: 2,
-        });
+        let store = CheckpointStore::new(&dir);
         for epoch in 0..5 {
             let mut snap = Snapshot::new();
             snap.put_u64("meta.epoch", epoch as u64);
             store.save(epoch, &snap).expect("save");
         }
         let epochs: Vec<usize> = store.list().iter().map(|(e, _)| *e).collect();
-        assert_eq!(epochs, vec![3, 4], "pruning kept the wrong files");
+        assert_eq!(epochs, vec![2, 3, 4], "pruning kept the wrong files");
         let _cleanup = fs::remove_dir_all(&dir);
     }
 
@@ -531,7 +515,7 @@ mod tests {
     fn latest_good_skips_truncated_checkpoint() {
         let dir = temp_dir("truncated");
         let _fresh = fs::remove_dir_all(&dir);
-        let store = CheckpointStore::new(CheckpointConfig::every_epoch(&dir));
+        let store = CheckpointStore::new(&dir);
         for epoch in [0usize, 1] {
             let mut snap = Snapshot::new();
             snap.put_u64("meta.epoch", epoch as u64);
@@ -549,7 +533,7 @@ mod tests {
     fn latest_good_rejects_record_boundary_truncation() {
         let dir = temp_dir("boundary");
         let _fresh = fs::remove_dir_all(&dir);
-        let store = CheckpointStore::new(CheckpointConfig::every_epoch(&dir));
+        let store = CheckpointStore::new(&dir);
         for epoch in [0usize, 1] {
             let mut snap = Snapshot::new();
             snap.put_u64("meta.epoch", epoch as u64);
@@ -575,7 +559,7 @@ mod tests {
     fn resaving_a_loaded_snapshot_keeps_the_footer_last() {
         let dir = temp_dir("resave");
         let _fresh = fs::remove_dir_all(&dir);
-        let store = CheckpointStore::new(CheckpointConfig::every_epoch(&dir));
+        let store = CheckpointStore::new(&dir);
         let mut snap = Snapshot::new();
         snap.put_u64("meta.epoch", 7);
         store.save(0, &snap).expect("save");
@@ -592,19 +576,8 @@ mod tests {
 
     #[test]
     fn latest_good_on_missing_dir_is_none() {
-        let store = CheckpointStore::new(CheckpointConfig::every_epoch(temp_dir("nonexistent")));
+        let store = CheckpointStore::new(temp_dir("nonexistent"));
         assert!(store.latest_good().is_none());
-    }
-
-    #[test]
-    fn due_follows_cadence() {
-        let store = CheckpointStore::new(CheckpointConfig {
-            dir: temp_dir("cadence"),
-            every_epochs: 3,
-            keep_last: 1,
-        });
-        let due: Vec<bool> = (0..7).map(|e| store.due(e)).collect();
-        assert_eq!(due, vec![false, false, true, false, false, true, false]);
     }
 
     #[test]

@@ -58,7 +58,6 @@ impl AnalyticCostModel {
     ///
     /// Panics if `mixture` disagrees with the surrogate in slot count or
     /// choice count.
-    #[must_use]
     pub fn metrics_var(&self, mixture: &[Var]) -> Var {
         assert_eq!(
             mixture.len(),

@@ -31,7 +31,6 @@ pub mod degrade;
 pub mod fault;
 pub mod watchdog;
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::checkpoint::CheckpointConfig;
@@ -64,6 +63,14 @@ pub fn enabled() -> bool {
     }
 }
 
+/// How many rollbacks a guarded run attempts before giving up on recovery
+/// and returning the last-good state as the outcome.
+pub const MAX_ROLLBACKS: u32 = 3;
+
+/// Multiplier applied to the arch (Adam) learning rate after each
+/// rollback, damping the oscillation that caused the trip.
+pub const ROLLBACK_ARCH_LR_DECAY: f32 = 0.5;
+
 /// Configuration for a guarded search run.
 ///
 /// The default value is the "observe only" guard: watchdog on, no disk
@@ -74,18 +81,9 @@ pub fn enabled() -> bool {
 pub struct GuardConfig {
     /// Loss-spike and non-finite detection thresholds.
     pub watchdog: WatchdogConfig,
-    /// Periodic on-disk snapshots; `None` keeps checkpointing off.
+    /// The checkpoint directory, written every epoch, and whether to
+    /// resume from it; `None` keeps checkpointing off.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Directory to resume from (the latest readable checkpoint wins).
-    /// A missing directory or all-corrupt contents fall back to a fresh
-    /// start with a warning, never an abort.
-    pub resume_from: Option<PathBuf>,
-    /// How many rollbacks to attempt before giving up on recovery and
-    /// returning the last-good state as the outcome.
-    pub max_rollbacks: u32,
-    /// Multiplier applied to the arch (Adam) learning rate after each
-    /// rollback, damping the oscillation that caused the trip.
-    pub rollback_arch_lr_decay: f32,
     /// Ratio beyond which a learned cost prediction counts as
     /// out-of-envelope versus the analytical model (checked both ways:
     /// `pred/analytic > envelope` or `< 1/envelope`). Only enforced when
@@ -103,9 +101,6 @@ impl Default for GuardConfig {
         Self {
             watchdog: WatchdogConfig::default(),
             checkpoint: None,
-            resume_from: None,
-            max_rollbacks: 3,
-            rollback_arch_lr_decay: 0.5,
             cost_envelope: 100.0,
             cost_fallback: None,
             fault_plan: None,
@@ -156,10 +151,7 @@ mod tests {
     fn default_config_is_observe_only() {
         let cfg = GuardConfig::default();
         assert!(cfg.checkpoint.is_none());
-        assert!(cfg.resume_from.is_none());
         assert!(cfg.cost_fallback.is_none());
-        assert_eq!(cfg.max_rollbacks, 3);
-        assert!(cfg.rollback_arch_lr_decay > 0.0 && cfg.rollback_arch_lr_decay < 1.0);
         assert!(cfg.cost_envelope > 1.0);
     }
 

@@ -68,30 +68,8 @@ impl ArchParams {
             .collect()
     }
 
-    /// Per-slot *sampled* one-hot mixture weights with straight-through
-    /// gradients (the binarized path-sampling of ProxylessNAS /
-    /// Courbariaux et al., which the paper cites for training the
-    /// architecture parameters): the forward pass activates a single
-    /// candidate per slot, while gradients flow to the logits through the
-    /// Gumbel-softmax relaxation at temperature `tau`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tau` is not positive.
-    pub fn sampled_weights(&self, tau: f32, rng: &mut rand::rngs::StdRng) -> Vec<Var> {
-        use dance_autograd::gumbel::{gumbel_softmax, straight_through_onehot};
-        self.alphas
-            .iter()
-            .map(|a| {
-                let soft = gumbel_softmax(a, tau, rng);
-                straight_through_onehot(&soft).reshape(&[SlotChoice::CANDIDATES.len()])
-            })
-            .collect()
-    }
-
     /// The differentiable architecture encoding `[1, slots·7]` consumed by
     /// the evaluator network (slot-major softmax probabilities).
-    #[must_use]
     pub fn encode(&self) -> Var {
         let probs = self.probs();
         let refs: Vec<&Var> = probs.iter().collect();

@@ -86,7 +86,6 @@ impl MbConv1d {
     /// # Panics
     ///
     /// Panics on channel mismatches.
-    #[must_use]
     pub fn forward(&self, x: &Var) -> Var {
         let shape = x.shape();
         assert_eq!(shape.len(), 3, "MbConv1d input shape {shape:?}");
@@ -163,7 +162,6 @@ impl SkipPath {
     }
 
     /// Applies the skip path.
-    #[must_use]
     pub fn forward(&self, x: &Var) -> Var {
         match self {
             SkipPath::Identity => x.clone(),
@@ -232,7 +230,6 @@ impl SearchBlock {
     /// # Panics
     ///
     /// Panics if `weights` does not have 7 entries.
-    #[must_use]
     pub fn forward_mixture(&self, x: &Var, weights: &Var) -> Var {
         assert_eq!(
             weights.shape().iter().product::<usize>(),
@@ -248,7 +245,6 @@ impl SearchBlock {
     }
 
     /// Single-path forward for a fixed choice (derived-network training).
-    #[must_use]
     pub fn forward_fixed(&self, x: &Var, choice: SlotChoice) -> Var {
         let skip = self.skip.forward(x);
         match choice {

@@ -40,7 +40,6 @@ pub fn max_flops(template: &NetworkTemplate) -> f64 {
 /// # Panics
 ///
 /// Panics if the template and architecture disagree on slot count.
-#[must_use]
 pub fn expected_flops_penalty(arch: &ArchParams, template: &NetworkTemplate) -> Var {
     let table = slot_flops(template);
     assert_eq!(table.len(), arch.num_slots(), "slot count mismatch");

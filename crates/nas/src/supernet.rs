@@ -109,6 +109,13 @@ pub enum ForwardMode<'a> {
     Fixed(&'a [SlotChoice]),
 }
 
+/// What each slot runs: its mixture weights (one length-7 variable per
+/// slot) or a fixed candidate.
+enum Paths<'a> {
+    Mixture(Vec<Var>),
+    Fixed(&'a [SlotChoice]),
+}
+
 /// The searchable network.
 #[derive(Debug)]
 pub struct Supernet {
@@ -174,7 +181,6 @@ impl Supernet {
     /// # Panics
     ///
     /// Panics if `x.len() != batch · channels · length` for this config.
-    #[must_use]
     pub fn input_from(&self, x: &[f32], batch: usize) -> Var {
         let (c, l) = (self.config.input_channels, self.config.length);
         assert_eq!(x.len(), batch * c * l, "batch data length mismatch");
@@ -186,52 +192,24 @@ impl Supernet {
     /// # Panics
     ///
     /// Panics if the mode's slot count differs from the supernet's.
-    #[must_use]
     pub fn forward(&self, x: &Var, mode: ForwardMode<'_>) -> Var {
-        match mode {
+        // The mixture weights are built before the stem, so they precede
+        // the network on the tape.
+        let paths = match mode {
             ForwardMode::Mixture(arch) => {
                 assert_eq!(arch.num_slots(), self.blocks.len(), "arch slot count");
-                self.forward_with_weights(x, &arch.mixture_weights())
+                Paths::Mixture(arch.mixture_weights())
             }
             ForwardMode::Fixed(choices) => {
                 assert_eq!(choices.len(), self.blocks.len(), "choice slot count");
-                let shape = x.shape();
-                let (b, l) = (shape[0], shape[2]);
-                let mut h = x
-                    .to_channels_last()
-                    .matmul(&self.stem_pw)
-                    .add_row_broadcast(&self.stem_b)
-                    .from_channels_last(b, l)
-                    .relu()
-                    .dw_conv1d(&self.stem_dw)
-                    .relu();
-                for (block, &choice) in self.blocks.iter().zip(choices) {
-                    h = block.forward_fixed(&h, choice);
-                }
-                let hl = h.shape()[2];
-                let features = h
-                    .to_channels_last()
-                    .matmul(&self.head_pw)
-                    .add_row_broadcast(&self.head_b)
-                    .from_channels_last(b, hl)
-                    .relu()
-                    .global_avg_pool1d();
-                self.classifier.forward(&features)
+                Paths::Fixed(choices)
             }
-        }
+        };
+        self.forward_paths(x, &paths)
     }
 
-    /// Runs the network with explicit per-slot mixture weights (each a
-    /// length-7 variable) — the building block for binarized/path-sampled
-    /// search modes, where the weights come from
-    /// [`ArchParams::sampled_weights`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len()` differs from the slot count.
-    #[must_use]
-    pub fn forward_with_weights(&self, x: &Var, weights: &[Var]) -> Var {
-        assert_eq!(weights.len(), self.blocks.len(), "weight slot count");
+    /// Stem, one path per searchable slot, then the head.
+    fn forward_paths(&self, x: &Var, paths: &Paths<'_>) -> Var {
         let shape = x.shape();
         let (b, l) = (shape[0], shape[2]);
         let mut h = x
@@ -242,8 +220,11 @@ impl Supernet {
             .relu()
             .dw_conv1d(&self.stem_dw)
             .relu();
-        for (block, w) in self.blocks.iter().zip(weights.iter()) {
-            h = block.forward_mixture(&h, w);
+        for (i, block) in self.blocks.iter().enumerate() {
+            h = match paths {
+                Paths::Mixture(weights) => block.forward_mixture(&h, &weights[i]),
+                Paths::Fixed(choices) => block.forward_fixed(&h, choices[i]),
+            };
         }
         let hl = h.shape()[2];
         let features = h
@@ -428,30 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_weights_are_one_hot_with_gradients() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let net = Supernet::new(tiny_config(), &mut rng);
-        let arch = ArchParams::new(9, &mut rng);
-        let weights = arch.sampled_weights(1.0, &mut rng);
-        assert_eq!(weights.len(), 9);
-        for w in &weights {
-            let v = w.value();
-            assert_eq!(v.sum(), 1.0, "sampled weight not one-hot");
-            assert_eq!(v.max(), 1.0);
-        }
-        let x = net.input_from(
-            &Tensor::rand_normal(&[2 * 2 * 8], 0.0, 1.0, &mut rng).to_vec(),
-            2,
-        );
-        let y = net.forward_with_weights(&x, &weights);
-        y.sqr().mean().backward();
-        // Straight-through: gradients still reach the architecture logits.
-        for a in arch.parameters() {
-            assert!(a.grad().is_some(), "binarized path blocked alpha gradient");
-        }
-    }
-
-    #[test]
     fn forward_with_one_hot_weights_matches_fixed() {
         let mut rng = StdRng::seed_from_u64(6);
         let net = Supernet::new(tiny_config(), &mut rng);
@@ -470,7 +427,7 @@ mod tests {
             &Tensor::rand_normal(&[2 * 2 * 8], 0.0, 1.0, &mut rng).to_vec(),
             2,
         );
-        let via_weights = net.forward_with_weights(&x, &weights);
+        let via_weights = net.forward_paths(&x, &Paths::Mixture(weights));
         let via_fixed = net.forward(&x, ForwardMode::Fixed(&choices));
         assert!(via_weights.value().approx_eq(&via_fixed.value(), 1e-4));
     }

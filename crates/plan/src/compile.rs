@@ -216,11 +216,6 @@ fn translate(
                     v.op()
                 )))
             }
-            "straight_through_onehot" => {
-                return Err(FreezeError::new(
-                    "straight-through sampling cannot be frozen; use deterministic softmax heads",
-                ))
-            }
             "batch_norm" => return Err(FreezeError::new(
                 "training-mode batch_norm in the graph; call set_training(false) before freezing",
             )),

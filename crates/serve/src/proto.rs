@@ -168,14 +168,6 @@ impl ProtoError {
     }
 }
 
-/// A JSON number that is a non-negative integer an f64 carries exactly,
-/// i.e. at most 2^53.
-fn as_u64(n: &Json) -> Option<u64> {
-    let n = n.as_f64()?;
-    // lint: allow(float-eq) fract()==0.0 is the integrality test
-    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
-}
-
 /// A finite, non-negative JSON number.
 fn as_weight(n: &Json) -> Option<f32> {
     n.as_f64()
@@ -204,7 +196,7 @@ fn optional<'a, T>(
 }
 
 fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, ProtoError> {
-    optional(v, key, "an integer in 0..=2^53", as_u64)
+    optional(v, key, "an integer in 0..=2^53", Json::as_u64)
 }
 
 /// Reads the optional array field `key`, each entry with `read`; an absent
@@ -238,7 +230,7 @@ fn opt_list<T>(
 /// op-specific field that is missing or invalid.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let v = json::parse(line).map_err(|e| ProtoError::bad_request(format!("bad json: {e}")))?;
-    match v.get("v").and_then(as_u64) {
+    match v.get("v").and_then(Json::as_u64) {
         Some(PROTOCOL_VERSION) => {}
         Some(other) => {
             return Err(ProtoError::bad_request(format!(
@@ -282,7 +274,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             }
             let cfg = v
                 .get("cfg")
-                .and_then(as_u64)
+                .and_then(Json::as_u64)
                 .ok_or_else(|| ProtoError::bad_request("cost/analytic needs integer `cfg`"))?
                 as usize;
             ReqBody::CostAnalytic {
@@ -317,7 +309,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 &v,
                 "dataset_seeds",
                 "an integer in 0..=2^53",
-                as_u64,
+                Json::as_u64,
                 vec![0],
             )?,
             envelopes: opt_list(

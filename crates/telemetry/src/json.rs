@@ -52,6 +52,15 @@ impl Json {
         }
     }
 
+    /// The numeric payload as a `u64`, if it is a non-negative integer an
+    /// `f64` carries exactly, i.e. at most 2^53: `2.5`, `-1` and `1e300`
+    /// are `None`, never a rounded or clamped value.
+    pub fn as_u64(&self) -> Option<u64> {
+        let n = self.as_f64()?;
+        // lint: allow(float-eq) fract()==0.0 is the integrality test
+        (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
+    }
+
     /// The array payload, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {

@@ -50,14 +50,14 @@ fn lock_sink() -> MutexGuard<'static, Option<Sink>> {
 }
 
 /// The directory run logs are written to: `DANCE_RUN_DIR` when set,
-/// otherwise `results/runs` at the workspace root.
+/// otherwise `results/runs` under the current directory.
 pub fn run_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("DANCE_RUN_DIR") {
         if !dir.is_empty() {
             return PathBuf::from(dir);
         }
     }
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/runs")
+    PathBuf::from("results/runs")
 }
 
 /// Path of the currently active run log, if a run is open.

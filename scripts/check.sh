@@ -137,8 +137,10 @@ grep "^fleet:" "${drill_dir}/drill.log"
 
 # SIGKILL resume drills: a guarded search and a campaign, each killed once
 # its first checkpoint exists, must resume to the uninterrupted run's
-# digest. The campaign's digest is also pinned, since a change to what a
-# cell runs would move the straight and the resumed run alike.
+# digest. Both digests are also pinned, since a change to what the search
+# or a cell runs would move the straight and the resumed run alike; the
+# guard drill's CIFAR search is the only pinned search on the CIFAR
+# supernet.
 cargo build --release -q --bin dance_search --bin dance_campaign
 
 # Runs "$@" in the background and SIGKILLs it once a file matching the glob
@@ -172,15 +174,19 @@ same_digest() {
   head -1 "$1"
 }
 
-echo "== guard drill: a search SIGKILLed mid-run resumes to the straight digest =="
+echo "== guard drill: a search SIGKILLed mid-run resumes to the pinned digest =="
 search=(./target/release/dance_search --epochs 4 --seed 3)
 "${search[@]}" --checkpoint-dir "${drill_dir}/search-straight" | grep "^arch-digest:" \
   >"${drill_dir}/guard.txt"
 kill_at_first "${drill_dir}/search-drill/epoch-*.ckpt" \
   "${search[@]}" --checkpoint-dir "${drill_dir}/search-drill"
-"${search[@]}" --checkpoint-dir "${drill_dir}/search-drill" --resume "${drill_dir}/search-drill" |
+"${search[@]}" --checkpoint-dir "${drill_dir}/search-drill" --resume |
   grep "^arch-digest:" >>"${drill_dir}/guard.txt"
 same_digest "${drill_dir}/guard.txt"
+if [ "$(head -1 "${drill_dir}/guard.txt")" != "arch-digest: 367671aa1b928139" ]; then
+  echo "guard drill: the digest moved off the pinned 367671aa1b928139" >&2
+  exit 1
+fi
 
 echo "== campaign drill: a campaign SIGKILLed mid-run resumes to the pinned digest =="
 campaign=(./target/release/dance_campaign --lambda2 0.1,0.4 --seeds 0 --envelopes edge

@@ -328,7 +328,7 @@ fn emit_winner_plan(
     dir: &std::path::Path,
 ) -> Result<(), String> {
     use dance::prelude::{ArchParams, Supernet, SupernetConfig};
-    use dance_guard::checkpoint::{CheckpointConfig, CheckpointStore};
+    use dance_guard::checkpoint::CheckpointStore;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -363,7 +363,7 @@ fn emit_winner_plan(
     let mut rng = StdRng::seed_from_u64(cell.seed);
     let net = Supernet::new(SupernetConfig::tiny(), &mut rng);
     let arch = ArchParams::new(net.num_slots(), &mut rng);
-    let store = CheckpointStore::new(CheckpointConfig::every_epoch(ckpt.clone()));
+    let store = CheckpointStore::new(&ckpt);
     let (epoch, snap) = store
         .latest_good()
         .ok_or_else(|| format!("no readable checkpoint under {}", ckpt.display()))?;

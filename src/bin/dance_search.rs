@@ -8,15 +8,16 @@
 //!
 //! ```text
 //! dance_search [--epochs N] [--batch-size N] [--seed N] [--lambda2 F]
-//!              [--penalty none|flops] [--checkpoint-dir DIR] [--resume DIR]
-//!              [--emit-plan DIR] [--plan-batch N] [--allow-graph-warnings]
+//!              [--penalty none|flops] [--checkpoint-dir DIR [--resume]]
+//!              [--emit-plan DIR] [--plan-batch N]
 //! ```
 //!
 //! With `--checkpoint-dir DIR`, every epoch ends with an atomic snapshot
-//! under `DIR/epoch-NNNN.ckpt`. A killed run restarted with `--resume DIR`
+//! under `DIR/epoch-NNNN.ckpt`. A killed run restarted with `--resume`
 //! (and otherwise identical flags) continues from the latest readable
-//! checkpoint and reproduces the uninterrupted run's final architecture
-//! parameters exactly; the `arch-digest` line makes that easy to diff.
+//! checkpoint in `DIR` and reproduces the uninterrupted run's final
+//! architecture parameters exactly; the `arch-digest` line makes that easy
+//! to diff.
 //!
 //! With `--emit-plan DIR`, the finished search's argmax architecture is
 //! frozen into an allocation-free inference plan and written to
@@ -39,17 +40,16 @@ struct Args {
     lambda2: f32,
     flops_penalty: bool,
     checkpoint_dir: Option<PathBuf>,
-    resume: Option<PathBuf>,
+    resume: bool,
     emit_plan: Option<PathBuf>,
     plan_batch: usize,
-    allow_graph_warnings: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: dance_search [--epochs N] [--batch-size N] [--seed N] [--lambda2 F]\n\
-         \x20                   [--penalty none|flops] [--checkpoint-dir DIR] [--resume DIR]\n\
-         \x20                   [--emit-plan DIR] [--plan-batch N] [--allow-graph-warnings]"
+         \x20                   [--penalty none|flops] [--checkpoint-dir DIR [--resume]]\n\
+         \x20                   [--emit-plan DIR] [--plan-batch N]"
     );
     std::process::exit(2);
 }
@@ -62,10 +62,9 @@ fn parse_args() -> Args {
         lambda2: 0.1,
         flops_penalty: true,
         checkpoint_dir: None,
-        resume: None,
+        resume: false,
         emit_plan: None,
         plan_batch: 64,
-        allow_graph_warnings: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -91,16 +90,21 @@ fn parse_args() -> Args {
             "--checkpoint-dir" => {
                 args.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")));
             }
-            "--resume" => args.resume = Some(PathBuf::from(value("--resume"))),
+            "--resume" => args.resume = true,
             "--emit-plan" => args.emit_plan = Some(PathBuf::from(value("--emit-plan"))),
             "--plan-batch" => args.plan_batch = parse_num(&value("--plan-batch"), "--plan-batch"),
-            "--allow-graph-warnings" => args.allow_graph_warnings = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other:?}");
                 usage();
             }
         }
+    }
+    if args.resume && args.checkpoint_dir.is_none() {
+        eprintln!(
+            "--resume needs --checkpoint-dir: a run resumes from the directory it checkpoints into"
+        );
+        usage();
     }
     args
 }
@@ -121,18 +125,19 @@ fn main() -> ExitCode {
         .batch_size(args.batch_size)
         .seed(args.seed)
         .lambda2(LambdaWarmup::constant(args.lambda2))
-        .allow_graph_warnings(args.allow_graph_warnings)
         .build()
         .unwrap_or_else(|e| {
             eprintln!("{e}");
             usage();
         });
 
-    let mut guard = GuardConfig::default();
-    if let Some(dir) = args.checkpoint_dir {
-        guard.checkpoint = Some(CheckpointConfig::every_epoch(dir));
-    }
-    guard.resume_from = args.resume;
+    let guard = GuardConfig {
+        checkpoint: args.checkpoint_dir.map(|dir| CheckpointConfig {
+            dir,
+            resume: args.resume,
+        }),
+        ..GuardConfig::default()
+    };
 
     // The model is built from the seed-derived RNG exactly like the
     // pipeline does; on resume, every parameter is then overwritten from

@@ -106,7 +106,7 @@ fn evaluator_rejects_wrong_encoding_width() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let hwgen = HwGenNet::new(63, 16, &mut rng);
     let cost = CostNet::new(63 + ENCODED_WIDTH, 16, &mut rng);
-    let e = Evaluator::with_feature_forwarding(hwgen, cost, 63, HeadSampling::StraightThrough);
+    let e = Evaluator::with_feature_forwarding(hwgen, cost, 63, HeadSampling::Gumbel { tau: 1.0 });
     e.freeze();
     let bad = Var::constant(Tensor::zeros(&[1, 50]));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

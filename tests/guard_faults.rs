@@ -158,7 +158,10 @@ fn truncated_checkpoint_is_skipped_and_resume_still_matches() {
     let crashed = run(
         EPOCHS,
         &GuardConfig {
-            checkpoint: Some(CheckpointConfig::every_epoch(dir.clone())),
+            checkpoint: Some(CheckpointConfig {
+                dir: dir.clone(),
+                resume: false,
+            }),
             fault_plan: Some(
                 FaultPlan::new()
                     .with(Fault::CorruptCheckpoint { epoch: 2 })
@@ -174,7 +177,10 @@ fn truncated_checkpoint_is_skipped_and_resume_still_matches() {
     let resumed = run(
         EPOCHS,
         &GuardConfig {
-            resume_from: Some(dir.clone()),
+            checkpoint: Some(CheckpointConfig {
+                dir: dir.clone(),
+                resume: true,
+            }),
             ..GuardConfig::default()
         },
     );
@@ -270,7 +276,10 @@ fn a_plan_that_never_fires_leaves_the_search_bit_identical() {
         let dir = temp_dir(name);
         let _fresh = std::fs::remove_dir_all(&dir);
         let guard = GuardConfig {
-            checkpoint: Some(CheckpointConfig::every_epoch(dir.clone())),
+            checkpoint: Some(CheckpointConfig {
+                dir: dir.clone(),
+                resume: false,
+            }),
             fault_plan,
             ..GuardConfig::default()
         };

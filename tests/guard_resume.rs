@@ -86,7 +86,10 @@ fn crash_and_resume_reproduces_the_straight_run_exactly() {
     let straight = run(
         EPOCHS,
         &GuardConfig {
-            checkpoint: Some(CheckpointConfig::every_epoch(dir_a.clone())),
+            checkpoint: Some(CheckpointConfig {
+                dir: dir_a.clone(),
+                resume: false,
+            }),
             ..GuardConfig::default()
         },
     );
@@ -98,7 +101,10 @@ fn crash_and_resume_reproduces_the_straight_run_exactly() {
     let killed = run(
         EPOCHS,
         &GuardConfig {
-            checkpoint: Some(CheckpointConfig::every_epoch(dir_b.clone())),
+            checkpoint: Some(CheckpointConfig {
+                dir: dir_b.clone(),
+                resume: false,
+            }),
             ..GuardConfig::default()
         },
     );
@@ -111,8 +117,10 @@ fn crash_and_resume_reproduces_the_straight_run_exactly() {
     let resumed = run(
         EPOCHS,
         &GuardConfig {
-            checkpoint: Some(CheckpointConfig::every_epoch(dir_b.clone())),
-            resume_from: Some(dir_b.clone()),
+            checkpoint: Some(CheckpointConfig {
+                dir: dir_b.clone(),
+                resume: true,
+            }),
             ..GuardConfig::default()
         },
     );
@@ -137,14 +145,17 @@ fn crash_and_resume_reproduces_the_straight_run_exactly() {
 }
 
 #[test]
-fn resume_from_an_empty_dir_starts_fresh() {
+fn resuming_from_an_empty_dir_starts_fresh() {
     let dir = temp_dir("empty");
     std::fs::create_dir_all(&dir).expect("create empty checkpoint dir");
     let plain = run(2, &GuardConfig::default());
     let resumed = run(
         2,
         &GuardConfig {
-            resume_from: Some(dir.clone()),
+            checkpoint: Some(CheckpointConfig {
+                dir: dir.clone(),
+                resume: true,
+            }),
             ..GuardConfig::default()
         },
     );

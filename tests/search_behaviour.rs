@@ -1,6 +1,6 @@
 //! Behavioural integration tests of the search machinery: warm-up collapse,
-//! binarized sampling, persistence through a full pipeline, and the cost
-//! table as a drop-in for the full model.
+//! persistence through a full pipeline, and the cost table as a drop-in for
+//! the full model.
 
 use dance::prelude::*;
 use rand::SeedableRng;
@@ -87,35 +87,6 @@ fn warmup_prevents_the_collapse() {
         zeros < 9,
         "warm-up failed to preserve any non-Zero op: {:?}",
         out.choices
-    );
-}
-
-#[test]
-fn binarized_sampling_trains_alphas() {
-    // Path-sampled (straight-through) steps move architecture logits in a
-    // consistent direction when one candidate is consistently better.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let net = Supernet::new(tiny_supernet_config(), &mut rng);
-    let arch = ArchParams::new(9, &mut rng);
-    let data = tiny_task();
-    let batcher = Batcher::new(&data.train, 32);
-    let mut opt = Adam::new(arch.parameters(), 0.05);
-    let before = arch.mean_entropy();
-    for _ in 0..4 {
-        for b in batcher.epoch(&mut rng) {
-            let weights = arch.sampled_weights(0.8, &mut rng);
-            let x = net.input_from(&b.x, b.batch);
-            let logits = net.forward_with_weights(&x, &weights);
-            let loss = cross_entropy(&logits, &b.y, 0.0);
-            opt.zero_grad();
-            loss.backward();
-            opt.step();
-        }
-    }
-    let after = arch.mean_entropy();
-    assert!(
-        after < before,
-        "binarized training did not sharpen the architecture: {before} -> {after}"
     );
 }
 

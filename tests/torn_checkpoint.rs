@@ -8,7 +8,7 @@
 //! torn-ledger drill (`tests/fleet_faults.rs`) does at the ledger layer.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,7 +16,7 @@ use rand::SeedableRng;
 
 use dance::data::synth::{SynthSpec, SynthTask};
 use dance::data::tasks::TaskData;
-use dance::guard::checkpoint::{CheckpointConfig, CheckpointStore, Snapshot};
+use dance::guard::checkpoint::{CheckpointStore, Snapshot};
 use dance::prelude::*;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -38,7 +38,7 @@ fn marked_snapshot(marker: u64) -> Snapshot {
 fn latest_good_never_returns_a_torn_snapshot_at_any_byte_boundary() {
     let dir = temp_dir("exhaustive");
     let _fresh = fs::remove_dir_all(&dir);
-    let store = CheckpointStore::new(CheckpointConfig::every_epoch(dir.clone()));
+    let store = CheckpointStore::new(&dir);
     store
         .save(0, &marked_snapshot(41))
         .expect("epoch-0 snapshot saves");
@@ -119,7 +119,7 @@ fn tiny_config() -> SupernetConfig {
 
 const EPOCHS: usize = 4;
 
-fn run_search(dir: &PathBuf, resume: bool) -> SearchOutcome {
+fn run_search(dir: &Path, resume: bool) -> SearchOutcome {
     let cfg = SearchConfig {
         epochs: EPOCHS,
         batch_size: 32,
@@ -132,8 +132,10 @@ fn run_search(dir: &PathBuf, resume: bool) -> SearchOutcome {
     let arch = ArchParams::new(net.num_slots(), &mut rng);
     let data = tiny_task();
     let guard = GuardConfig {
-        checkpoint: Some(CheckpointConfig::every_epoch(dir.clone())),
-        resume_from: resume.then(|| dir.clone()),
+        checkpoint: Some(CheckpointConfig {
+            dir: dir.to_path_buf(),
+            resume,
+        }),
         ..GuardConfig::default()
     };
     dance_search_guarded(&net, &arch, &data, &Penalty::None, &cfg, &guard)
